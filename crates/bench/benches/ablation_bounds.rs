@@ -3,7 +3,7 @@
 //! Compares, on hard-query lineage and on social-network motif lineage,
 //!
 //! * the bucket heuristic exactly as written in Figure 3 of the paper
-//!   (`dnf_bounds_fig3`, descending-probability ordering),
+//!   (`dnf_bounds_sorted(.., true)`, descending-probability ordering),
 //! * the unsorted bucket heuristic (no descending-probability refinement),
 //! * the strengthened default (`dnf_bounds`: Figure 3 plus the monotone-DNF
 //!   independent-union upper bound).
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use bench::{tpch_database, MotifQuery};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtree::{dnf_bounds, dnf_bounds_fig3, dnf_bounds_sorted};
+use dtree::{dnf_bounds, dnf_bounds_sorted};
 use events::Dnf;
 use workloads::tpch::TpchQuery;
 use workloads::{karate_club, SocialNetworkConfig};
@@ -52,7 +52,7 @@ fn bench_bounds(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for (name, space, dnf) in &inputs {
         group.bench_with_input(BenchmarkId::new("fig3_sorted", name), dnf, |b, dnf| {
-            b.iter(|| dnf_bounds_fig3(dnf, space))
+            b.iter(|| dnf_bounds_sorted(dnf, space, true))
         });
         group.bench_with_input(BenchmarkId::new("fig3_unsorted", name), dnf, |b, dnf| {
             b.iter(|| dnf_bounds_sorted(dnf, space, false))

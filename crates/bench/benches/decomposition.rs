@@ -91,8 +91,8 @@ fn bench_decomposition(c: &mut Criterion) {
         b.iter(|| root.hash(&arena).to_u128())
     });
 
-    // Bucket bounds over both representations (shared algorithm, different
-    // accessors).
+    // Bucket bounds: the `&Dnf` entry (interns into a fresh arena, then runs
+    // the view implementation) vs the view entry over an existing arena.
     group.bench_with_input(BenchmarkId::new("bounds", "owned"), &dnf, |b, dnf| {
         b.iter(|| dtree::dnf_bounds(dnf, &space).width())
     });

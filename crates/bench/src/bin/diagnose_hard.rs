@@ -34,7 +34,6 @@ fn main() {
                 let approx_opts = ApproxOptions {
                     error,
                     compile: CompileOptions::with_origins(db.database().origins().clone()),
-                    strategy: Default::default(),
                     max_steps: Some(max_steps),
                     timeout: Some(Duration::from_secs(20)),
                 };

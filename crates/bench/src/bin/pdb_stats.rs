@@ -96,7 +96,7 @@ fn fig7_capture(out: &str) -> i32 {
         handle.attach_obs(&obs);
         let mut slices = 0;
         while !handle.is_converged() && !handle.is_poisoned() && slices < FIG7_MAX_SLICES {
-            handle.resume(space, ResumeBudget::steps(FIG7_SLICE_STEPS));
+            handle.resume(space, ResumeBudget::steps(FIG7_SLICE_STEPS), None);
             slices += 1;
         }
         obs.event("fig7.query")

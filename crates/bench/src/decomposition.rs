@@ -26,9 +26,7 @@ use crate::report::BenchRecord;
 /// Outcome of the end-to-end comparison.
 #[derive(Debug, Clone)]
 pub struct DecompositionReport {
-    /// One record per `(workload, implementation)` pair plus the final
-    /// `speedup_x` record (whose `p50_seconds` field carries the ratio, not
-    /// a time).
+    /// One record per `(workload, implementation)` pair.
     pub records: Vec<BenchRecord>,
     /// Total p50 seconds of the legacy side across the suite.
     pub legacy_total: f64,
@@ -123,8 +121,9 @@ pub fn fig8_end_to_end(smoke: bool) -> DecompositionReport {
 }
 
 /// Runs the comparison, prints the suite speedup, optionally enforces an
-/// acceptance floor, and returns all records including the `speedup_x`
-/// summary row.
+/// acceptance floor, and returns the per-workload timing records. The
+/// speedup itself is printed, not recorded: a record's `p50_seconds` holds a
+/// time, never a ratio.
 ///
 /// `floor` is the minimum acceptable suite speedup: the criterion bench
 /// passes the 1.5× acceptance gate (1.0× in smoke mode, where the tiny
@@ -148,17 +147,5 @@ pub fn decomposition_records(smoke: bool, floor: Option<f64>) -> Vec<BenchRecord
             "arena decomposition speedup {speedup:.2}x fell below the {floor}x floor"
         );
     }
-    let mut records = report.records;
-    records.push(BenchRecord {
-        name: "decomposition/fig8_e2e/speedup_x".to_owned(),
-        p50_seconds: speedup,
-        converged_fraction: 1.0,
-        samples: 1,
-        mean_interval_width: None,
-        tuples_per_second: None,
-        p50_refresh_seconds: None,
-        rss_peak_bytes: None,
-        degraded_fraction: None,
-    });
-    records
+    report.records
 }

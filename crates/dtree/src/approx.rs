@@ -1,20 +1,18 @@
 //! Deterministic ε-approximation of DNF probability by incremental d-tree
 //! compilation (Section V of the paper).
 //!
-//! Two refinement strategies are provided:
+//! [`ApproxCompiler`] implements the memory-efficient algorithm of Section
+//! V-D: depth-first compilation that keeps only the current root-to-leaf
+//! path, closes leaves whose worst-case contribution can no longer violate
+//! the error bound (Lemma 5.11 / Theorem 5.12), and stops as soon as the
+//! global bounds satisfy the sufficient condition of Proposition 5.8. The
+//! width-ordered refinement of a materialised partial d-tree — the simpler
+//! algorithm also sketched in Section V-D — is what a budget-truncated run
+//! continues with through [`ApproxCompiler::run_resumable`] and
+//! [`crate::ResumableCompilation::resume`].
 //!
-//! * [`RefinementStrategy::DepthFirstClosing`] — the memory-efficient
-//!   algorithm of Section V-D: depth-first compilation that keeps only the
-//!   current root-to-leaf path, closes leaves whose worst-case contribution
-//!   can no longer violate the error bound (Lemma 5.11 / Theorem 5.12), and
-//!   stops as soon as the global bounds satisfy the sufficient condition of
-//!   Proposition 5.8.
-//! * [`RefinementStrategy::PriorityRefinement`] — the simpler algorithm also
-//!   sketched in Section V-D: materialise the partial d-tree and repeatedly
-//!   refine the open leaf with the widest bounds interval.
-//!
-//! The depth-first compiler runs on [`DnfView`]s over a [`LineageArena`]:
-//! the input lineage is interned once, and every decomposition step — Shannon
+//! The compiler runs on [`DnfView`]s over a [`LineageArena`]: the input
+//! lineage is interned once, and every decomposition step — Shannon
 //! cofactors, component splits, subsumption removal, common-atom factoring —
 //! is index manipulation over the pooled clauses, with the memo keyed by the
 //! views' incremental fingerprints. The results are bit-identical to the
@@ -26,13 +24,12 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use events::ProbabilitySpace;
-use events::{product_factorization_by, Atom, Dnf, DnfRef, DnfView, LineageArena};
+use events::{product_factorization_by, Atom, Dnf, DnfView, LineageArena};
 
-use crate::bounds::{dnf_bounds_ref, Bounds};
+use crate::bounds::{dnf_bounds_view, Bounds};
 use crate::cache::{Memo, SubformulaCache};
 use crate::compile::CompileOptions;
-use crate::order::choose_variable_ref;
-use crate::partial::PartialDTree;
+use crate::order::choose_variable;
 use crate::resume::ResumableCompilation;
 use crate::stats::CompileStats;
 
@@ -98,18 +95,6 @@ impl ErrorBound {
     }
 }
 
-/// Strategy used to pick which part of the d-tree to refine next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefinementStrategy {
-    /// Memory-efficient depth-first compilation with leaf closing
-    /// (Section V-D). This is the algorithm evaluated in the paper.
-    #[default]
-    DepthFirstClosing,
-    /// Materialise the partial d-tree and repeatedly refine the leaf with the
-    /// widest bounds interval.
-    PriorityRefinement,
-}
-
 /// Options for the approximation algorithm.
 #[derive(Debug, Clone)]
 pub struct ApproxOptions {
@@ -117,8 +102,6 @@ pub struct ApproxOptions {
     pub error: ErrorBound,
     /// Compilation options (variable order, origins, …).
     pub compile: CompileOptions,
-    /// Refinement strategy.
-    pub strategy: RefinementStrategy,
     /// Maximum number of decomposition steps (`None` = unlimited). When the
     /// budget is exhausted remaining leaves are closed with their current
     /// bounds and the result may not be converged — this implements the
@@ -129,23 +112,23 @@ pub struct ApproxOptions {
 }
 
 impl ApproxOptions {
-    /// Absolute ε-approximation with default strategy and no budget.
+    /// Absolute ε-approximation with default compilation options and no
+    /// budget.
     pub fn absolute(epsilon: f64) -> Self {
         ApproxOptions {
             error: ErrorBound::Absolute(epsilon),
             compile: CompileOptions::default(),
-            strategy: RefinementStrategy::default(),
             max_steps: None,
             timeout: None,
         }
     }
 
-    /// Relative ε-approximation with default strategy and no budget.
+    /// Relative ε-approximation with default compilation options and no
+    /// budget.
     pub fn relative(epsilon: f64) -> Self {
         ApproxOptions {
             error: ErrorBound::Relative(epsilon),
             compile: CompileOptions::default(),
-            strategy: RefinementStrategy::default(),
             max_steps: None,
             timeout: None,
         }
@@ -154,12 +137,6 @@ impl ApproxOptions {
     /// Sets the compilation options (variable order / origins).
     pub fn with_compile(mut self, compile: CompileOptions) -> Self {
         self.compile = compile;
-        self
-    }
-
-    /// Sets the refinement strategy.
-    pub fn with_strategy(mut self, strategy: RefinementStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -215,55 +192,27 @@ impl ApproxCompiler {
         ApproxCompiler { opts }
     }
 
-    /// Runs the approximation on `dnf` over `space`.
+    /// Runs the approximation on `dnf` over `space`: interns `dnf` into a
+    /// fresh arena and runs [`ApproxCompiler::run_view`] without a shared
+    /// cache.
     pub fn run(&self, dnf: &Dnf, space: &ProbabilitySpace) -> ApproxResult {
-        self.run_owned(dnf, space, None)
-    }
-
-    fn run_owned(
-        &self,
-        dnf: &Dnf,
-        space: &ProbabilitySpace,
-        cache: Option<&SubformulaCache>,
-    ) -> ApproxResult {
-        let mut arena = LineageArena::with_capacity(dnf.len(), 4);
-        let root = arena.intern(dnf);
-        match self.opts.strategy {
-            RefinementStrategy::DepthFirstClosing => self.run_dfs(&mut arena, root, space, cache),
-            RefinementStrategy::PriorityRefinement => {
-                self.run_priority(PartialDTree::from_parts(arena, root, space), space)
-            }
-        }
-    }
-
-    /// Like [`ApproxCompiler::run`], but with a shared [`SubformulaCache`]
-    /// layered behind the per-run memo, so exact leaf probabilities and
-    /// bucket bounds are reused across the lineages of a batch.
-    ///
-    /// Cache entries are tagged with `space.generation()` and the
-    /// variable-count watermark their formula requires — they survive
-    /// append-only growth of the space and are retired by genuine in-place
-    /// changes, so one long-lived cache can be shared across batches and
-    /// database inserts. Reusing cached values is bit-identical to
-    /// recomputing them — the producers are deterministic — so `run_cached`
-    /// returns exactly what [`ApproxCompiler::run`] would, only faster. The
-    /// cache is consulted by the [`RefinementStrategy::DepthFirstClosing`]
-    /// strategy; [`RefinementStrategy::PriorityRefinement`] materialises its
-    /// own partial tree and ignores it.
-    pub fn run_cached(
-        &self,
-        dnf: &Dnf,
-        space: &ProbabilitySpace,
-        cache: &SubformulaCache,
-    ) -> ApproxResult {
-        self.run_owned(dnf, space, Some(cache))
+        let (mut arena, root) = LineageArena::from_dnf(dnf);
+        self.run_view(&mut arena, &root, space, None)
     }
 
     /// Runs the approximation on an already-interned view — the zero-copy
     /// entry point for callers that hold an arena (the batch engine interns
-    /// each lineage once and evaluates everything against it). Bit-identical
-    /// to [`ApproxCompiler::run`] / [`ApproxCompiler::run_cached`] on the
-    /// materialised formula.
+    /// each lineage once and evaluates everything against it).
+    ///
+    /// With a `cache`, the shared [`SubformulaCache`] is layered behind the
+    /// per-run memo, so exact leaf probabilities and bucket bounds are reused
+    /// across the lineages of a batch. Cache entries are tagged with
+    /// `space.generation()` and the variable-count watermark their formula
+    /// requires — they survive append-only growth of the space and are
+    /// retired by genuine in-place changes, so one long-lived cache can be
+    /// shared across batches and database inserts. Reusing cached values is
+    /// bit-identical to recomputing them — the producers are deterministic —
+    /// so the result does not depend on whether a cache is passed.
     pub fn run_view(
         &self,
         arena: &mut LineageArena,
@@ -271,27 +220,19 @@ impl ApproxCompiler {
         space: &ProbabilitySpace,
         cache: Option<&SubformulaCache>,
     ) -> ApproxResult {
-        match self.opts.strategy {
-            RefinementStrategy::DepthFirstClosing => {
-                self.run_dfs(arena, view.clone(), space, cache)
-            }
-            RefinementStrategy::PriorityRefinement => {
-                // The priority tree owns its arena; re-intern the view once.
-                self.run_priority(PartialDTree::new(&view.to_dnf(arena), space), space)
-            }
-        }
+        self.run_dfs(arena, view.clone(), space, cache, false).0
     }
 
-    /// Like [`ApproxCompiler::run_cached`] (pass `None` for no shared cache),
-    /// but the second return value carries a [`ResumableCompilation`] handle
-    /// holding the d-tree frontier the run materialised. For a
-    /// budget-truncated run, calling [`ResumableCompilation::resume`]
-    /// continues tightening the bounds from exactly where this run stopped —
-    /// no re-interning, no re-exploration of settled subtrees. A *converged*
-    /// run returns a converged handle: nothing is left to refine, but the
-    /// settled frontier is exactly what lets a later
-    /// [`ResumableCompilation::apply_delta`] absorb appended lineage clauses
-    /// without recompiling. Results are bit-identical to
+    /// Like [`ApproxCompiler::run`] (with an optional shared cache, as in
+    /// [`ApproxCompiler::run_view`]), but the second return value carries a
+    /// [`ResumableCompilation`] handle holding the d-tree frontier the run
+    /// materialised. For a budget-truncated run, calling
+    /// [`ResumableCompilation::resume`] continues tightening the bounds from
+    /// exactly where this run stopped — no re-interning, no re-exploration of
+    /// settled subtrees. A *converged* run returns a converged handle:
+    /// nothing is left to refine, but the settled frontier is exactly what
+    /// lets a later [`ResumableCompilation::apply_delta`] absorb appended
+    /// lineage clauses without recompiling. Results are bit-identical to
     /// [`ApproxCompiler::run`]: the frontier capture is pure bookkeeping and
     /// performs no floating-point operations of its own.
     pub fn run_resumable(
@@ -300,38 +241,17 @@ impl ApproxCompiler {
         space: &ProbabilitySpace,
         cache: Option<&SubformulaCache>,
     ) -> (ApproxResult, Option<ResumableCompilation>) {
-        let mut arena = LineageArena::with_capacity(dnf.len(), 4);
-        let root = arena.intern(dnf);
-        match self.opts.strategy {
-            RefinementStrategy::DepthFirstClosing => {
-                let (result, captured) = self.run_dfs_impl(&mut arena, root, space, cache, true);
-                let mut captured = captured.expect("capture was enabled");
-                let root_cap = captured.pop().expect("the run captures its root");
-                debug_assert!(captured.is_empty(), "capture stack fully unwound");
-                let tree = crate::resume::tree_from_capture(arena, root_cap, result.stats);
-                let handle = ResumableCompilation::from_tree(tree, &self.opts, &result, space);
-                (result, Some(handle))
-            }
-            RefinementStrategy::PriorityRefinement => {
-                let tree = PartialDTree::from_parts(arena, root, space);
-                let (result, tree) = self.run_priority_impl(tree, space);
-                let handle = ResumableCompilation::from_tree(tree, &self.opts, &result, space);
-                (result, Some(handle))
-            }
-        }
+        let (mut arena, root) = LineageArena::from_dnf(dnf);
+        let (result, captured) = self.run_dfs(&mut arena, root, space, cache, true);
+        let mut captured = captured.expect("capture was enabled");
+        let root_cap = captured.pop().expect("the run captures its root");
+        debug_assert!(captured.is_empty(), "capture stack fully unwound");
+        let tree = crate::resume::tree_from_capture(arena, root_cap, result.stats);
+        let handle = ResumableCompilation::from_tree(tree, &self.opts, &result, space);
+        (result, Some(handle))
     }
 
     fn run_dfs(
-        &self,
-        arena: &mut LineageArena,
-        root: DnfView,
-        space: &ProbabilitySpace,
-        cache: Option<&SubformulaCache>,
-    ) -> ApproxResult {
-        self.run_dfs_impl(arena, root, space, cache, false).0
-    }
-
-    fn run_dfs_impl(
         &self,
         arena: &mut LineageArena,
         root: DnfView,
@@ -352,76 +272,19 @@ impl ApproxCompiler {
             memo: Memo::with_shared(cache, space.generation(), space.watermark()),
             capture: capture.then(Vec::new),
         };
-        let outcome = dfs.explore(Work::View(root), 0);
-        let bounds = match outcome {
-            Outcome::Finished(b) => b,
-            Outcome::StopAll(b) => b,
+        let bounds = match dfs.explore(Work::View(root), 0) {
+            Outcome::Finished(b) | Outcome::StopAll(b) => b,
         };
-        let captured = dfs.capture.take();
-        let (steps, stats) = (dfs.steps, dfs.stats);
-        (self.finish(bounds, steps, stats, start), captured)
-    }
-
-    fn run_priority(&self, tree: PartialDTree, space: &ProbabilitySpace) -> ApproxResult {
-        self.run_priority_impl(tree, space).0
-    }
-
-    fn run_priority_impl(
-        &self,
-        mut tree: PartialDTree,
-        space: &ProbabilitySpace,
-    ) -> (ApproxResult, PartialDTree) {
-        let start = Instant::now();
-        let mut steps = 0usize;
-        let result = loop {
-            let bounds = tree.bounds(space);
-            if self.opts.error.satisfied_by(bounds) || self.budget_exceeded(steps, start) {
-                break self.finish(bounds, steps, *tree.stats(), start);
-            }
-            match tree.widest_open_leaf() {
-                Some(leaf) => {
-                    tree.refine(leaf, space, &self.opts.compile);
-                    steps += 1;
-                }
-                None => {
-                    // Complete tree: bounds are exact.
-                    break self.finish(bounds, steps, *tree.stats(), start);
-                }
-            }
-        };
-        (result, tree)
-    }
-
-    fn budget_exceeded(&self, steps: usize, start: Instant) -> bool {
-        if let Some(max) = self.opts.max_steps {
-            if steps >= max {
-                return true;
-            }
-        }
-        if let Some(timeout) = self.opts.timeout {
-            if start.elapsed() >= timeout {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn finish(
-        &self,
-        bounds: Bounds,
-        steps: usize,
-        stats: CompileStats,
-        start: Instant,
-    ) -> ApproxResult {
-        ApproxResult {
+        let result = ApproxResult {
             lower: bounds.lower,
             upper: bounds.upper,
             estimate: self.opts.error.estimate_from(bounds),
             converged: self.opts.error.satisfied_by(bounds),
-            steps,
-            stats,
+            steps: dfs.steps,
+            stats: dfs.stats,
             elapsed: start.elapsed(),
-        }
+        };
+        (result, dfs.capture.take())
     }
 }
 
@@ -530,8 +393,13 @@ impl Dfs<'_> {
             self.stats.exact_cache_hits += 1;
             return p;
         }
-        let r =
-            crate::exact::exact_probability_view(self.arena, view, self.space, &self.opts.compile);
+        let r = crate::exact::exact_probability_view(
+            self.arena,
+            view,
+            self.space,
+            &self.opts.compile,
+            None,
+        );
         self.stats.exact_evaluations += 1;
         self.stats.or_nodes += r.stats.or_nodes;
         self.stats.and_nodes += r.stats.and_nodes;
@@ -547,7 +415,7 @@ impl Dfs<'_> {
             self.stats.bound_cache_hits += 1;
             return b;
         }
-        let b = dnf_bounds_ref(DnfRef::Arena(self.arena, view), self.space);
+        let b = dnf_bounds_view(self.arena, view, self.space);
         self.stats.bound_evaluations += 1;
         self.memo.put_bounds(key, view.required_watermark(self.arena), b);
         b
@@ -880,8 +748,9 @@ impl Dfs<'_> {
         }
 
         // Step 4: Shannon expansion (⊕).
-        let var = choose_variable_ref(
-            DnfRef::Arena(self.arena, &view),
+        let var = choose_variable(
+            self.arena,
+            &view,
             &self.opts.compile.var_order,
             self.opts.compile.origins.as_ref(),
         )
@@ -968,20 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_strategy_agrees_with_dfs() {
-        let (s, phi) = example_5_2();
-        let exact = phi.exact_probability_enumeration(&s);
-        let dfs = ApproxCompiler::new(ApproxOptions::absolute(0.005)).run(&phi, &s);
-        let pri = ApproxCompiler::new(
-            ApproxOptions::absolute(0.005).with_strategy(RefinementStrategy::PriorityRefinement),
-        )
-        .run(&phi, &s);
-        assert!(dfs.converged && pri.converged);
-        assert!((dfs.estimate - exact).abs() <= 0.005 + 1e-12);
-        assert!((pri.estimate - exact).abs() <= 0.005 + 1e-12);
-    }
-
-    #[test]
     fn zero_error_recovers_exact_probability() {
         let (s, phi) = example_5_2();
         let exact = phi.exact_probability_enumeration(&s);
@@ -1008,9 +863,9 @@ mod tests {
     }
 
     /// Random correlated DNFs: the estimate must respect the requested error
-    /// against brute-force enumeration, for both error types and both
-    /// strategies — and the arena path must be bit-identical to the owned
-    /// reference path, with the same d-tree statistics.
+    /// against brute-force enumeration, for both error types — and the arena
+    /// path must be bit-identical to the owned reference path, with the same
+    /// d-tree statistics.
     #[test]
     fn randomized_error_guarantees() {
         let mut rng = StdRng::seed_from_u64(0x5eed);
@@ -1032,30 +887,22 @@ mod tests {
                 continue;
             }
             let exact = phi.exact_probability_enumeration(&s);
-            for (strategy, eps) in [
-                (RefinementStrategy::DepthFirstClosing, 0.01),
-                (RefinementStrategy::DepthFirstClosing, 0.1),
-                (RefinementStrategy::PriorityRefinement, 0.05),
-            ] {
-                let r = ApproxCompiler::new(ApproxOptions::absolute(eps).with_strategy(strategy))
-                    .run(&phi, &s);
+            for eps in [0.01, 0.1] {
+                let r = ApproxCompiler::new(ApproxOptions::absolute(eps)).run(&phi, &s);
                 assert!(r.converged, "trial {trial}");
                 assert!(
                     (r.estimate - exact).abs() <= eps + 1e-9,
-                    "trial {trial} strategy {strategy:?} eps {eps}: est {} exact {exact}",
+                    "trial {trial} eps {eps}: est {} exact {exact}",
                     r.estimate
                 );
-                if strategy == RefinementStrategy::DepthFirstClosing {
-                    let reference =
-                        crate::reference::approx_reference(&phi, &s, &ApproxOptions::absolute(eps));
-                    assert_eq!(r.estimate.to_bits(), reference.estimate.to_bits());
-                    assert_eq!(r.lower.to_bits(), reference.lower.to_bits());
-                    assert_eq!(r.upper.to_bits(), reference.upper.to_bits());
-                    assert_eq!(r.steps, reference.steps);
-                    assert_eq!(r.stats, reference.stats);
-                }
-                let rel = ApproxCompiler::new(ApproxOptions::relative(eps).with_strategy(strategy))
-                    .run(&phi, &s);
+                let reference =
+                    crate::reference::approx_reference(&phi, &s, &ApproxOptions::absolute(eps));
+                assert_eq!(r.estimate.to_bits(), reference.estimate.to_bits());
+                assert_eq!(r.lower.to_bits(), reference.lower.to_bits());
+                assert_eq!(r.upper.to_bits(), reference.upper.to_bits());
+                assert_eq!(r.steps, reference.steps);
+                assert_eq!(r.stats, reference.stats);
+                let rel = ApproxCompiler::new(ApproxOptions::relative(eps)).run(&phi, &s);
                 assert!(rel.converged, "trial {trial}");
                 assert!(
                     (rel.estimate - exact).abs() <= eps * exact + 1e-9,
@@ -1244,12 +1091,16 @@ mod tests {
         );
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-4));
         let cache = SubformulaCache::new();
+        let cached_run = |dnf: &Dnf| {
+            let (mut arena, root) = LineageArena::from_dnf(dnf);
+            compiler.run_view(&mut arena, &root, &s, Some(&cache))
+        };
         let uncached_phi = compiler.run(&phi, &s);
         let uncached_psi = compiler.run(&psi, &s);
-        let cached_phi = compiler.run_cached(&phi, &s, &cache);
-        let cached_psi = compiler.run_cached(&psi, &s, &cache);
+        let cached_phi = cached_run(&phi);
+        let cached_psi = cached_run(&psi);
         // A repeated run of the same lineage is served from the cache …
-        let cached_phi2 = compiler.run_cached(&phi, &s, &cache);
+        let cached_phi2 = cached_run(&phi);
         // … and all cached runs agree with the uncached ones to the bit.
         assert_eq!(uncached_phi.estimate.to_bits(), cached_phi.estimate.to_bits());
         assert_eq!(uncached_phi.lower.to_bits(), cached_phi.lower.to_bits());
@@ -1286,8 +1137,10 @@ mod tests {
         assert_eq!(r.stats.xor_nodes, 0);
     }
 
-    /// `run_view` over a caller-owned arena is bit-identical to `run` (which
-    /// interns internally) — the hook the batch engine uses.
+    /// The `&Dnf` entries of the approximation, exact evaluation and bucket
+    /// bounds (which intern internally) are bit-identical to their view
+    /// entries over a caller-owned arena — the hook the batch engine uses —
+    /// with and without a shared cache.
     #[test]
     fn run_view_matches_run() {
         let probs: Vec<f64> = (0..20).map(|i| 0.2 + 0.03 * (i as f64 % 12.0)).collect();
@@ -1296,14 +1149,32 @@ mod tests {
             (0..19).map(|i| Clause::from_bools(&[vars[i], vars[i + 1]])).collect::<Vec<_>>(),
         );
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-4));
+        let opts = CompileOptions::default();
         let owned_entry = compiler.run(&phi, &s);
-        let mut arena = LineageArena::new();
-        let root = arena.intern(&phi);
-        let view_entry = compiler.run_view(&mut arena, &root, &s, None);
-        assert_eq!(owned_entry.estimate.to_bits(), view_entry.estimate.to_bits());
-        assert_eq!(owned_entry.lower.to_bits(), view_entry.lower.to_bits());
-        assert_eq!(owned_entry.upper.to_bits(), view_entry.upper.to_bits());
-        assert_eq!(owned_entry.steps, view_entry.steps);
-        assert_eq!(owned_entry.stats, view_entry.stats);
+        let owned_exact = exact_probability(&phi, &s, &opts);
+        let owned_bounds = crate::bounds::dnf_bounds(&phi, &s);
+        let cache = SubformulaCache::new();
+        // Uncached, then a cold and a warm pass over the shared cache.
+        for cache in [None, Some(&cache), Some(&cache)] {
+            let mut arena = LineageArena::new();
+            let root = arena.intern(&phi);
+            let view_entry = compiler.run_view(&mut arena, &root, &s, cache);
+            assert_eq!(owned_entry.estimate.to_bits(), view_entry.estimate.to_bits());
+            assert_eq!(owned_entry.lower.to_bits(), view_entry.lower.to_bits());
+            assert_eq!(owned_entry.upper.to_bits(), view_entry.upper.to_bits());
+            assert_eq!(owned_entry.steps, view_entry.steps);
+            if cache.is_none() {
+                assert_eq!(owned_entry.stats, view_entry.stats);
+            }
+            let exact = crate::exact::exact_probability_view(&mut arena, &root, &s, &opts, cache);
+            assert_eq!(owned_exact.probability.to_bits(), exact.probability.to_bits());
+            if cache.is_none() {
+                assert_eq!(owned_exact.stats, exact.stats);
+            }
+            let bounds = dnf_bounds_view(&arena, &root, &s);
+            assert_eq!(owned_bounds.lower.to_bits(), bounds.lower.to_bits());
+            assert_eq!(owned_bounds.upper.to_bits(), bounds.upper.to_bits());
+        }
+        assert!(cache.stats().hits > 0, "the warm pass must hit: {:?}", cache.stats());
     }
 }

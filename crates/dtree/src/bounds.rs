@@ -2,7 +2,7 @@
 //! bucket heuristic of Figure 3 that computes bounds for a DNF leaf without
 //! refining it.
 
-use events::{Dnf, DnfRef, DnfView, LineageArena, ProbabilitySpace, VarId};
+use events::{Dnf, DnfView, LineageArena, ProbabilitySpace, VarId};
 
 /// A closed interval `[lower, upper]` bracketing a probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +98,7 @@ impl Bounds {
 
 /// Computes lower and upper bounds on the probability of a DNF using the
 /// bucket heuristic of Figure 3 (`Independent`), strengthened for monotone
-/// DNFs by the independent-union upper bound (see
-/// [`independent_or_upper_bound`]):
+/// DNFs by the independent-union upper bound:
 ///
 /// 1. Partition the clauses into buckets of pairwise independent clauses
 ///    (greedy first-fit, so each bucket is maximal when it is created).
@@ -116,38 +115,17 @@ impl Bounds {
 /// refinement the paper reports to improve the lower bound (Example 5.2).
 /// Runs in time quadratic in the number of clauses.
 pub fn dnf_bounds(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
-    dnf_bounds_ref(DnfRef::Owned(dnf), space)
+    let (arena, root) = LineageArena::from_dnf(dnf);
+    dnf_bounds_view(&arena, &root, space)
 }
 
 /// [`dnf_bounds`] for an arena view, without materialising the sub-formula.
 pub fn dnf_bounds_view(arena: &LineageArena, view: &DnfView, space: &ProbabilitySpace) -> Bounds {
-    dnf_bounds_ref(DnfRef::Arena(arena, view), space)
-}
-
-/// The representation-generic core of [`dnf_bounds`]: owned DNFs and arena
-/// views run the **same** instructions, so their bounds are bit-identical.
-pub fn dnf_bounds_ref(dnf: DnfRef<'_>, space: &ProbabilitySpace) -> Bounds {
-    if dnf.is_empty() {
-        return Bounds::point(0.0);
+    let bounds = bucket_bounds(arena, view, space, true);
+    match independent_or_upper_bound(arena, view, space) {
+        Some(fkg_upper) => Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper)),
+        None => bounds,
     }
-    if dnf.is_tautology() {
-        return Bounds::point(1.0);
-    }
-    let order: Vec<usize> =
-        dnf.clauses_by_probability_desc(space).into_iter().map(|(i, _)| i).collect();
-    let mut bounds = bucket_bounds(dnf, space, &order);
-    if let Some(fkg_upper) = independent_or_upper_bound_ref(dnf, space) {
-        bounds = Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper));
-    }
-    bounds
-}
-
-/// The bucket heuristic exactly as written in Figure 3 of the paper (with the
-/// descending-probability ordering), without the monotone-DNF upper-bound
-/// strengthening applied by [`dnf_bounds`]. Exposed for the heuristic
-/// ablation benchmarks.
-pub fn dnf_bounds_fig3(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
-    dnf_bounds_sorted(dnf, space, true)
 }
 
 /// The independent-union upper bound for **monotone** DNFs:
@@ -164,50 +142,48 @@ pub fn dnf_bounds_fig3(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
 /// occurs with two different values, as can happen with
 /// block-independent-disjoint lineage), in which case the bound would be
 /// unsound and must not be used.
-pub fn independent_or_upper_bound(dnf: &Dnf, space: &ProbabilitySpace) -> Option<f64> {
-    independent_or_upper_bound_ref(DnfRef::Owned(dnf), space)
-}
-
-/// Representation-generic core of [`independent_or_upper_bound`].
-pub fn independent_or_upper_bound_ref(dnf: DnfRef<'_>, space: &ProbabilitySpace) -> Option<f64> {
+pub(crate) fn independent_or_upper_bound(
+    arena: &LineageArena,
+    view: &DnfView,
+    space: &ProbabilitySpace,
+) -> Option<f64> {
     // Monotonicity check: collect every atom, sort by variable, and scan for
     // a variable bound to two different values (one flat sort instead of a
     // tree-map probe per atom).
     let mut atoms: Vec<(VarId, u32)> = Vec::new();
-    for i in 0..dnf.clause_count() {
-        atoms.extend(dnf.clause_atoms(i).map(|a| (a.var, a.value)));
+    for clause in view.atoms(arena) {
+        atoms.extend(clause.map(|a| (a.var, a.value)));
     }
     atoms.sort_unstable();
     if atoms.windows(2).any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1) {
         return None;
     }
     let mut complement = 1.0;
-    for i in 0..dnf.clause_count() {
-        complement *= 1.0 - dnf.clause_probability(space, i);
+    for i in 0..view.len() {
+        complement *= 1.0 - view.clause_probability(arena, space, i);
     }
     Some(1.0 - complement)
 }
 
-/// Like [`dnf_bounds`] but processing the clauses in their given order (no
-/// sorting). Exposed so benchmarks can quantify the effect of the
-/// descending-probability refinement (Example 5.2 shows it can tighten both
-/// bounds substantially).
+/// The bucket heuristic exactly as written in Figure 3 of the paper, without
+/// the monotone-DNF upper-bound strengthening applied by [`dnf_bounds`],
+/// processing the clauses in descending-probability order
+/// (`sort_descending`) or in their canonical order. Exposed so the ablation
+/// benchmarks can quantify both refinements (Example 5.2 shows the ordering
+/// can tighten both bounds substantially).
 pub fn dnf_bounds_sorted(dnf: &Dnf, space: &ProbabilitySpace, sort_descending: bool) -> Bounds {
-    if dnf.is_empty() {
-        return Bounds::point(0.0);
-    }
-    if dnf.is_tautology() {
-        return Bounds::point(1.0);
-    }
-    let order: Vec<usize> = if sort_descending {
-        dnf.clauses_by_probability_desc(space).into_iter().map(|(i, _)| i).collect()
-    } else {
-        (0..dnf.len()).collect()
-    };
-    bucket_bounds(DnfRef::Owned(dnf), space, &order)
+    let (arena, view) = LineageArena::from_dnf(dnf);
+    bucket_bounds(&arena, &view, space, sort_descending)
 }
 
-fn bucket_bounds(dnf: DnfRef<'_>, space: &ProbabilitySpace, order: &[usize]) -> Bounds {
+/// The bucket heuristic of Figure 3 over `view`'s clauses, taken in
+/// descending-probability order or in their canonical order.
+fn bucket_bounds(
+    arena: &LineageArena,
+    view: &DnfView,
+    space: &ProbabilitySpace,
+    sort_descending: bool,
+) -> Bounds {
     /// Bucket variables as a sorted flat vector: clause atoms arrive sorted
     /// by variable, so the disjointness test is a two-pointer merge and the
     /// insertion a sorted merge — no tree sets on the hot path. First-fit
@@ -244,12 +220,23 @@ fn bucket_bounds(dnf: DnfRef<'_>, space: &ProbabilitySpace, order: &[usize]) -> 
         merged.extend_from_slice(&add[j..]);
         *dst = merged;
     }
+    if view.is_empty() {
+        return Bounds::point(0.0);
+    }
+    if view.is_tautology(arena) {
+        return Bounds::point(1.0);
+    }
+    let order: Vec<usize> = if sort_descending {
+        view.clauses_by_probability_desc(arena, space).into_iter().map(|(i, _)| i).collect()
+    } else {
+        (0..view.len()).collect()
+    };
     let mut buckets: Vec<Bucket> = Vec::new();
     let mut cvars: Vec<VarId> = Vec::new();
-    for &i in order {
+    for i in order {
         cvars.clear();
-        cvars.extend(dnf.clause_atoms(i).map(|a| a.var));
-        let p = dnf.clause_probability(space, i);
+        cvars.extend(view.clause(arena, i).map(|a| a.var));
+        let p = view.clause_probability(arena, space, i);
         // First-fit: place the clause into the first bucket it is independent
         // of (no shared variable).
         let slot = buckets.iter().position(|b| disjoint_sorted(&b.vars, &cvars));
@@ -349,7 +336,7 @@ mod tests {
             Clause::from_bools(&[v]),
         ]);
         let exact = phi.exact_probability_enumeration(&s);
-        let fig3 = dnf_bounds_fig3(&phi, &s);
+        let fig3 = dnf_bounds_sorted(&phi, &s, true);
         assert!((fig3.lower - 0.842).abs() < 1e-9, "lower = {}", fig3.lower);
         assert!((fig3.upper - 0.902).abs() < 1e-9, "upper = {}", fig3.upper);
         assert!(fig3.contains(exact));
@@ -429,9 +416,10 @@ mod tests {
             Clause::from_bools(&[vars[4], vars[2]]),
         ]);
         let exact = phi.exact_probability_enumeration(&s);
-        let fig3 = dnf_bounds_fig3(&phi, &s);
+        let fig3 = dnf_bounds_sorted(&phi, &s, true);
         let improved = dnf_bounds(&phi, &s);
-        let fkg = independent_or_upper_bound(&phi, &s).expect("monotone DNF");
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let fkg = independent_or_upper_bound(&arena, &view, &s).expect("monotone DNF");
         assert!(exact <= fkg + 1e-12, "FKG bound {fkg} below exact {exact}");
         assert!(improved.contains(exact));
         assert!(fig3.contains(exact));
@@ -454,20 +442,10 @@ mod tests {
             Clause::from_atoms([Atom::new(x, 0), Atom::new(y, 0)]),
             Clause::from_atoms([Atom::new(x, 1), Atom::new(y, 1)]),
         ]);
-        assert_eq!(independent_or_upper_bound(&phi, &s), None);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        assert_eq!(independent_or_upper_bound(&arena, &view, &s), None);
         let exact = phi.exact_probability_enumeration(&s);
         assert!(dnf_bounds(&phi, &s).contains(exact));
-    }
-
-    #[test]
-    fn fig3_alias_matches_sorted_bounds() {
-        let (s, vars) = bool_space(&[0.3, 0.2, 0.7, 0.8]);
-        let phi = Dnf::from_clauses(vec![
-            Clause::from_bools(&[vars[0], vars[1]]),
-            Clause::from_bools(&[vars[0], vars[2]]),
-            Clause::from_bools(&[vars[3]]),
-        ]);
-        assert_eq!(dnf_bounds_fig3(&phi, &s), dnf_bounds_sorted(&phi, &s, true));
     }
 
     #[test]

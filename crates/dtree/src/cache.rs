@@ -11,7 +11,7 @@
 //! [`SubformulaCache`] memoizes the two expensive per-sub-DNF quantities:
 //!
 //! * the **exact probability** of small leaves (and, through
-//!   [`crate::exact_probability_cached`], of arbitrary sub-DNFs), and
+//!   [`crate::exact_probability_view`], of arbitrary sub-DNFs), and
 //! * the **bucket bounds** of open leaves ([`crate::dnf_bounds`]).
 //!
 //! Entries are keyed by [`events::DnfHash`], the canonical fingerprint of a

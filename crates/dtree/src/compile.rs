@@ -1,12 +1,11 @@
 //! Exhaustive compilation of DNFs into complete d-trees (Figure 1).
 
 use events::{
-    product_factorization_by, Clause, Dnf, DnfRef, DnfView, LineageArena, ProbabilitySpace,
-    VarOrigins,
+    product_factorization_by, Clause, Dnf, DnfView, LineageArena, ProbabilitySpace, VarOrigins,
 };
 
 use crate::node::DTree;
-use crate::order::{choose_variable_ref, VarOrder};
+use crate::order::{choose_variable, VarOrder};
 use crate::stats::CompileStats;
 
 /// Options controlling compilation (shared by the exhaustive compiler, the
@@ -62,8 +61,7 @@ pub fn compile_with_stats(
     opts: &CompileOptions,
     stats: &mut CompileStats,
 ) -> DTree {
-    let mut arena = LineageArena::with_capacity(dnf.len(), 4);
-    let root = arena.intern(dnf);
+    let (mut arena, root) = LineageArena::from_dnf(dnf);
     compile_rec(&mut arena, &root, space, opts, stats, 0)
 }
 
@@ -161,9 +159,8 @@ fn compile_rec(
     }
 
     // Step 4: Shannon expansion (⊕).
-    let var =
-        choose_variable_ref(DnfRef::Arena(arena, &view), &opts.var_order, opts.origins.as_ref())
-            .expect("non-constant DNF mentions at least one variable");
+    let var = choose_variable(arena, &view, &opts.var_order, opts.origins.as_ref())
+        .expect("non-constant DNF mentions at least one variable");
     stats.xor_nodes += 1;
     let mut branches = Vec::new();
     for (value, cofactor) in view.shannon_cofactors(arena, var, space) {

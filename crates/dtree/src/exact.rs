@@ -15,12 +15,11 @@
 //! as [`crate::reference::exact_probability_reference`] for differential
 //! testing and benchmarking).
 
-use events::{product_factorization_by, DnfRef, DnfView, LineageArena};
-use events::{Dnf, ProbabilitySpace};
+use events::{product_factorization_by, Dnf, DnfView, LineageArena, ProbabilitySpace};
 
 use crate::cache::SubformulaCache;
 use crate::compile::CompileOptions;
-use crate::order::choose_variable_ref;
+use crate::order::choose_variable;
 use crate::stats::CompileStats;
 
 /// Result of an exact confidence computation.
@@ -42,85 +41,44 @@ struct CacheScope<'c> {
 }
 
 /// Computes the exact probability of `dnf` by recursive decomposition,
-/// without materialising the d-tree.
+/// without materialising the d-tree. Interns `dnf` into a fresh arena and
+/// runs [`exact_probability_view`] without a shared cache.
 pub fn exact_probability(
     dnf: &Dnf,
     space: &ProbabilitySpace,
     opts: &CompileOptions,
 ) -> ExactResult {
-    let mut arena = LineageArena::with_capacity(dnf.len(), 4);
-    let root = arena.intern(dnf);
-    exact_probability_view(&mut arena, &root, space, opts)
+    let (mut arena, root) = LineageArena::from_dnf(dnf);
+    exact_probability_view(&mut arena, &root, space, opts, None)
 }
 
-/// Computes the exact probability of a lineage supplied as a **clause
-/// stream** — e.g. clauses decoded one tuple at a time out of a disk-backed
-/// table — without ever materializing an owned [`Dnf`]. The stream is
-/// interned straight into a fresh arena
-/// ([`LineageArena::intern_clause_stream`]) and evaluated in place, so peak
-/// memory holds the interned (deduplicated) formula, never the raw clause
-/// vector. Bit-identical to collecting the stream into a [`Dnf`] and calling
-/// [`exact_probability`].
-pub fn exact_probability_stream<I>(
-    clauses: I,
-    space: &ProbabilitySpace,
-    opts: &CompileOptions,
-) -> ExactResult
-where
-    I: IntoIterator<Item = events::Clause>,
-{
-    let mut arena = LineageArena::new();
-    let root = arena.intern_clause_stream(clauses);
-    exact_probability_view(&mut arena, &root, space, opts)
-}
-
-/// [`exact_probability`] on an already-interned view — the zero-copy entry
-/// point for callers that hold an arena (the batch engine interns each
-/// lineage once and evaluates everything against it).
+/// [`exact_probability`] on an already-interned view — the entry point for
+/// callers that hold an arena (the batch engine interns each lineage once
+/// and evaluates everything against it).
+///
+/// With a `cache`, every non-trivial sub-DNF's probability is memoized in
+/// the shared [`SubformulaCache`], so repeated sub-formulas — within one
+/// lineage or across the lineages of a batch — are computed once. Cache
+/// entries are tagged with `space.generation()` and the variable-count
+/// watermark their formula requires: values survive append-only growth of
+/// the space (fresh tables) and are retired by genuine in-place changes.
+/// Because the evaluation is deterministic, a cached value is bit-identical
+/// to what the uncached recursion would compute, so the result does not
+/// depend on whether a cache is passed.
 pub fn exact_probability_view(
     arena: &mut LineageArena,
     view: &DnfView,
     space: &ProbabilitySpace,
     opts: &CompileOptions,
+    cache: Option<&SubformulaCache>,
 ) -> ExactResult {
     let mut stats = CompileStats::default();
-    let probability = exact_rec(arena, view, space, opts, &mut stats, 0, None);
-    ExactResult { probability, stats }
-}
-
-/// Like [`exact_probability`], but memoizing every non-trivial sub-DNF's
-/// probability in a shared [`SubformulaCache`], so repeated sub-formulas —
-/// within one lineage or across the lineages of a batch — are computed once.
-///
-/// Cache entries are tagged with `space.generation()` and the variable-count
-/// watermark their formula requires: values survive append-only growth of
-/// the space (fresh tables) and are retired by genuine in-place changes.
-/// Because the evaluation is deterministic, a cached value is bit-identical
-/// to what the uncached recursion would compute, so
-/// `exact_probability_cached` returns exactly the probability
-/// [`exact_probability`] would.
-pub fn exact_probability_cached(
-    dnf: &Dnf,
-    space: &ProbabilitySpace,
-    opts: &CompileOptions,
-    cache: &SubformulaCache,
-) -> ExactResult {
-    let mut arena = LineageArena::with_capacity(dnf.len(), 4);
-    let root = arena.intern(dnf);
-    exact_probability_view_cached(&mut arena, &root, space, opts, cache)
-}
-
-/// [`exact_probability_cached`] on an already-interned view.
-pub fn exact_probability_view_cached(
-    arena: &mut LineageArena,
-    view: &DnfView,
-    space: &ProbabilitySpace,
-    opts: &CompileOptions,
-    cache: &SubformulaCache,
-) -> ExactResult {
-    let mut stats = CompileStats::default();
-    let scope = CacheScope { cache, generation: space.generation(), watermark: space.watermark() };
-    let probability = exact_rec(arena, view, space, opts, &mut stats, 0, Some(scope));
+    let scope = cache.map(|cache| CacheScope {
+        cache,
+        generation: space.generation(),
+        watermark: space.watermark(),
+    });
+    let probability = exact_rec(arena, view, space, opts, &mut stats, 0, scope);
     ExactResult { probability, stats }
 }
 
@@ -218,9 +176,8 @@ fn exact_step(
     }
 
     // Step 4: Shannon expansion (⊕).
-    let var =
-        choose_variable_ref(DnfRef::Arena(arena, &view), &opts.var_order, opts.origins.as_ref())
-            .expect("non-constant DNF mentions at least one variable");
+    let var = choose_variable(arena, &view, &opts.var_order, opts.origins.as_ref())
+        .expect("non-constant DNF mentions at least one variable");
     stats.xor_nodes += 1;
     let mut total = 0.0;
     for (value, cofactor) in view.shannon_cofactors(arena, var, space) {
@@ -268,7 +225,10 @@ mod tests {
         ];
         let owned =
             exact_probability(&Dnf::from_clauses(clauses.clone()), &s, &CompileOptions::default());
-        let streamed = exact_probability_stream(clauses, &s, &CompileOptions::default());
+        let mut arena = LineageArena::new();
+        let root = arena.intern_clause_stream(clauses);
+        let streamed =
+            exact_probability_view(&mut arena, &root, &s, &CompileOptions::default(), None);
         assert_eq!(streamed.probability.to_bits(), owned.probability.to_bits());
     }
 

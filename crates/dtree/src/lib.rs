@@ -23,8 +23,14 @@
 //!   memo of exact leaf probabilities and bucket bounds keyed by canonical
 //!   DNF hash, reused within one approximation run, across the lineages of a
 //!   batch, and — scoped to a probability-space generation and bounded by
-//!   CLOCK/LRU eviction — across whole batches
-//!   ([`ApproxCompiler::run_cached`], [`exact_probability_cached`]).
+//!   CLOCK/LRU eviction — across whole batches (the `cache` argument of
+//!   [`ApproxCompiler::run_view`], [`exact_probability_view`] and
+//!   [`ResumableCompilation::resume`]).
+//!
+//! Every algorithm computes on a [`events::DnfView`] over a
+//! [`events::LineageArena`]; the `&Dnf` entry points ([`exact_probability`],
+//! [`dnf_bounds`], [`ApproxCompiler::run`]) intern their input into a fresh
+//! arena and call the view entry.
 //!
 //! # Quick example
 //!
@@ -68,21 +74,12 @@ pub mod reference;
 mod resume;
 mod stats;
 
-pub use approx::{ApproxCompiler, ApproxOptions, ApproxResult, ErrorBound, RefinementStrategy};
-pub use bounds::{
-    dnf_bounds, dnf_bounds_fig3, dnf_bounds_ref, dnf_bounds_sorted, dnf_bounds_view,
-    independent_or_upper_bound, independent_or_upper_bound_ref, Bounds,
-};
+pub use approx::{ApproxCompiler, ApproxOptions, ApproxResult, ErrorBound};
+pub use bounds::{dnf_bounds, dnf_bounds_sorted, dnf_bounds_view, Bounds};
 pub use cache::{CacheStats, SubformulaCache};
 pub use compile::{compile, CompileOptions};
-pub use exact::{
-    exact_probability, exact_probability_cached, exact_probability_stream, exact_probability_view,
-    exact_probability_view_cached, ExactResult,
-};
+pub use exact::{exact_probability, exact_probability_view, ExactResult};
 pub use node::DTree;
-pub use order::{
-    choose_iq_variable, choose_iq_variable_ref, choose_variable, choose_variable_ref, VarOrder,
-};
-pub use partial::{PartialDTree, PartialNodeId};
+pub use order::{choose_iq_variable, choose_variable, VarOrder};
 pub use resume::{ResumableCompilation, ResumeBudget};
 pub use stats::CompileStats;

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use events::{Dnf, DnfRef, VarId, VarOrigins};
+use events::{DnfView, LineageArena, VarId, VarOrigins};
 
 /// Strategy for choosing the next variable to eliminate by Shannon expansion.
 #[derive(Debug, Clone, Default)]
@@ -27,31 +27,28 @@ pub enum VarOrder {
     IqThenFrequent,
 }
 
-/// Chooses the next Shannon-expansion variable for `dnf` according to the
+/// Chooses the next Shannon-expansion variable for `view` according to the
 /// strategy, using origin labels when provided.
 ///
 /// Returns `None` only when the DNF mentions no variable at all.
-pub fn choose_variable(dnf: &Dnf, order: &VarOrder, origins: Option<&VarOrigins>) -> Option<VarId> {
-    choose_variable_ref(DnfRef::Owned(dnf), order, origins)
-}
-
-/// Representation-generic core of [`choose_variable`]: owned DNFs and arena
-/// views share one implementation, so the chosen variable — and with it the
-/// whole d-tree shape — is identical on both paths.
-pub fn choose_variable_ref(
-    dnf: DnfRef<'_>,
+pub fn choose_variable(
+    arena: &LineageArena,
+    view: &DnfView,
     order: &VarOrder,
     origins: Option<&VarOrigins>,
 ) -> Option<VarId> {
     match order {
-        VarOrder::MostFrequent => dnf.most_frequent_var(),
+        VarOrder::MostFrequent => view.most_frequent_var(arena),
         VarOrder::Fixed(vars) => {
-            let present = dnf.vars();
-            vars.iter().copied().find(|v| present.contains(v)).or_else(|| dnf.most_frequent_var())
+            let present = view.vars(arena);
+            vars.iter()
+                .copied()
+                .find(|v| present.contains(v))
+                .or_else(|| view.most_frequent_var(arena))
         }
-        VarOrder::IqThenFrequent => {
-            origins.and_then(|o| choose_iq_variable_ref(dnf, o)).or_else(|| dnf.most_frequent_var())
-        }
+        VarOrder::IqThenFrequent => origins
+            .and_then(|o| choose_iq_variable(arena, view, o))
+            .or_else(|| view.most_frequent_var(arena)),
     }
 }
 
@@ -65,19 +62,18 @@ pub fn choose_variable_ref(
 /// Returns `None` when no variable qualifies (e.g. the lineage is not from an
 /// IQ query), in which case the caller falls back to the most-frequent
 /// heuristic.
-pub fn choose_iq_variable(dnf: &Dnf, origins: &VarOrigins) -> Option<VarId> {
-    choose_iq_variable_ref(DnfRef::Owned(dnf), origins)
-}
-
-/// Representation-generic core of [`choose_iq_variable`].
-pub fn choose_iq_variable_ref(dnf: DnfRef<'_>, origins: &VarOrigins) -> Option<VarId> {
-    if dnf.is_empty() || dnf.is_tautology() {
+pub fn choose_iq_variable(
+    arena: &LineageArena,
+    view: &DnfView,
+    origins: &VarOrigins,
+) -> Option<VarId> {
+    if view.is_empty() || view.is_tautology(arena) {
         return None;
     }
     // Distinct variables per relation (origin group) in the whole DNF.
     let mut per_relation: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
-    for i in 0..dnf.clause_count() {
-        for a in dnf.clause_atoms(i) {
+    for clause in view.atoms(arena) {
+        for a in clause {
             let group = origins.get(a.var)?;
             per_relation.entry(group).or_default().insert(a.var);
         }
@@ -85,19 +81,19 @@ pub fn choose_iq_variable_ref(dnf: DnfRef<'_>, origins: &VarOrigins) -> Option<V
     if per_relation.len() < 2 {
         // A single relation: any variable trivially qualifies; pick the most
         // frequent to keep behaviour sensible.
-        return dnf.most_frequent_var();
+        return view.most_frequent_var(arena);
     }
     // Candidate variables, scanned in ascending id order for determinism.
-    let candidates: BTreeSet<VarId> = dnf.vars();
+    let candidates: BTreeSet<VarId> = view.vars(arena);
     for &v in &candidates {
         let v_group = origins.get(v)?;
         // Distinct variables per relation restricted to clauses containing v.
         let mut restricted: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
-        for i in 0..dnf.clause_count() {
-            if !dnf.mentions(i, v) {
+        for i in 0..view.len() {
+            if !view.mentions(arena, i, v) {
                 continue;
             }
-            for a in dnf.clause_atoms(i) {
+            for a in view.clause(arena, i) {
                 let group = origins.get(a.var)?;
                 restricted.entry(group).or_default().insert(a.var);
             }
@@ -119,7 +115,17 @@ pub fn choose_iq_variable_ref(dnf: DnfRef<'_>, origins: &VarOrigins) -> Option<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use events::{Clause, ProbabilitySpace};
+    use events::{Clause, Dnf, ProbabilitySpace};
+
+    fn choose(dnf: &Dnf, order: &VarOrder, origins: Option<&VarOrigins>) -> Option<VarId> {
+        let (arena, view) = LineageArena::from_dnf(dnf);
+        choose_variable(&arena, &view, order, origins)
+    }
+
+    fn choose_iq(dnf: &Dnf, origins: &VarOrigins) -> Option<VarId> {
+        let (arena, view) = LineageArena::from_dnf(dnf);
+        choose_iq_variable(&arena, &view, origins)
+    }
 
     fn bool_space(n: usize) -> (ProbabilitySpace, Vec<VarId>) {
         let mut s = ProbabilitySpace::new();
@@ -134,7 +140,7 @@ mod tests {
             Clause::from_bools(&[vars[0], vars[1]]),
             Clause::from_bools(&[vars[0], vars[2]]),
         ]);
-        assert_eq!(choose_variable(&dnf, &VarOrder::default(), None), Some(vars[0]));
+        assert_eq!(choose(&dnf, &VarOrder::default(), None), Some(vars[0]));
     }
 
     #[test]
@@ -146,9 +152,9 @@ mod tests {
         ]);
         let order = VarOrder::Fixed(vec![vars[0], vars[2], vars[1]]);
         // vars[0] is absent, vars[2] present.
-        assert_eq!(choose_variable(&dnf, &order, None), Some(vars[2]));
+        assert_eq!(choose(&dnf, &order, None), Some(vars[2]));
         // Empty fixed list falls back to most frequent.
-        assert_eq!(choose_variable(&dnf, &VarOrder::Fixed(vec![]), None), dnf.most_frequent_var());
+        assert_eq!(choose(&dnf, &VarOrder::Fixed(vec![]), None), dnf.most_frequent_var());
     }
 
     /// Lineage of q():-R(X), S(Y), X < Y on R = {x1, x2}, S = {y1, y2} with
@@ -168,8 +174,8 @@ mod tests {
             Clause::from_bools(&[x1, y2]),
             Clause::from_bools(&[x2, y2]),
         ]);
-        assert_eq!(choose_iq_variable(&dnf, &origins), Some(x1));
-        assert_eq!(choose_variable(&dnf, &VarOrder::IqThenFrequent, Some(&origins)), Some(x1));
+        assert_eq!(choose_iq(&dnf, &origins), Some(x1));
+        assert_eq!(choose(&dnf, &VarOrder::IqThenFrequent, Some(&origins)), Some(x1));
     }
 
     /// Lineage of the hard pattern R(X),S(X,Y),T(Y) on a complete bipartite
@@ -188,9 +194,9 @@ mod tests {
             Clause::from_bools(&[r1, s11, t1]),
             Clause::from_bools(&[r2, s22, t2]),
         ]);
-        assert_eq!(choose_iq_variable(&dnf, &origins), None);
+        assert_eq!(choose_iq(&dnf, &origins), None);
         // The combined strategy still returns something.
-        assert!(choose_variable(&dnf, &VarOrder::IqThenFrequent, Some(&origins)).is_some());
+        assert!(choose(&dnf, &VarOrder::IqThenFrequent, Some(&origins)).is_some());
     }
 
     #[test]
@@ -198,7 +204,7 @@ mod tests {
         let (_, vars) = bool_space(2);
         let origins = VarOrigins::new();
         let dnf = Dnf::from_clauses(vec![Clause::from_bools(&[vars[0], vars[1]])]);
-        assert_eq!(choose_iq_variable(&dnf, &origins), None);
+        assert_eq!(choose_iq(&dnf, &origins), None);
     }
 
     #[test]
@@ -209,13 +215,13 @@ mod tests {
         origins.set(vars[1], 0);
         let dnf =
             Dnf::from_clauses(vec![Clause::from_bools(&[vars[0]]), Clause::from_bools(&[vars[1]])]);
-        assert_eq!(choose_iq_variable(&dnf, &origins), dnf.most_frequent_var());
+        assert_eq!(choose_iq(&dnf, &origins), dnf.most_frequent_var());
     }
 
     #[test]
     fn empty_dnf_has_no_variable() {
-        assert_eq!(choose_variable(&Dnf::empty(), &VarOrder::MostFrequent, None), None);
+        assert_eq!(choose(&Dnf::empty(), &VarOrder::MostFrequent, None), None);
         let origins = VarOrigins::new();
-        assert_eq!(choose_iq_variable(&Dnf::tautology(), &origins), None);
+        assert_eq!(choose_iq(&Dnf::tautology(), &origins), None);
     }
 }

@@ -1,28 +1,28 @@
 //! Materialised partial d-trees with incremental leaf refinement.
 //!
-//! This module implements the first (simpler) incremental algorithm sketched
-//! in Section V-D: keep the partially compiled d-tree in memory, repeatedly
-//! pick the open leaf with the widest bounds interval, refine it by one
-//! decomposition step, and re-check the ε-approximation condition on the
-//! root bounds. The memory-efficient depth-first variant with leaf closing
-//! lives in [`crate::approx`].
+//! A [`PartialDTree`] keeps a partially compiled d-tree in memory and refines
+//! one open leaf at a time by a single decomposition step — the simpler
+//! incremental algorithm sketched in Section V-D. It is the frontier store of
+//! [`crate::resume`], which captures the tree a budget-truncated depth-first
+//! run of [`crate::approx`] materialised and decides which leaf to refine
+//! next.
 //!
 //! The tree owns a [`LineageArena`]: the input lineage is interned once and
 //! every leaf is a [`DnfView`] over the pool, so refinement steps are index
 //! manipulation instead of clause-vector copies.
 
 use events::ProbabilitySpace;
-use events::{product_factorization_by, Atom, Clause, Dnf, DnfRef, DnfView, LineageArena};
+use events::{product_factorization_by, Atom, Clause, Dnf, DnfView, LineageArena};
 
-use crate::bounds::{dnf_bounds_ref, Bounds};
+use crate::bounds::{dnf_bounds_view, Bounds};
 use crate::cache::Memo;
 use crate::compile::CompileOptions;
-use crate::order::choose_variable_ref;
+use crate::order::choose_variable;
 use crate::stats::CompileStats;
 
 /// Identifier of a node inside a [`PartialDTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartialNodeId(pub(crate) usize);
+pub(crate) struct PartialNodeId(pub(crate) usize);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
@@ -44,7 +44,7 @@ pub(crate) enum PNode {
 /// A partially compiled d-tree stored in an arena, supporting incremental
 /// refinement of its leaves.
 #[derive(Debug, Clone)]
-pub struct PartialDTree {
+pub(crate) struct PartialDTree {
     lineage: LineageArena,
     nodes: Vec<PNode>,
     root: PartialNodeId,
@@ -52,29 +52,6 @@ pub struct PartialDTree {
 }
 
 impl PartialDTree {
-    /// Creates a partial d-tree consisting of a single leaf for `dnf`,
-    /// interning the lineage into the tree's own arena.
-    pub fn new(dnf: &Dnf, space: &ProbabilitySpace) -> Self {
-        let mut lineage = LineageArena::with_capacity(dnf.len(), 4);
-        let root = lineage.intern(dnf);
-        PartialDTree::from_parts(lineage, root, space)
-    }
-
-    /// Creates a partial d-tree over an existing arena and root view (the
-    /// arena is moved into the tree, which keeps growing it during
-    /// refinement).
-    pub fn from_parts(lineage: LineageArena, root: DnfView, space: &ProbabilitySpace) -> Self {
-        let mut tree = PartialDTree {
-            lineage,
-            nodes: Vec::new(),
-            root: PartialNodeId(0),
-            stats: CompileStats::default(),
-        };
-        let root = tree.push_leaf(root, space, None);
-        tree.root = root;
-        tree
-    }
-
     /// Reassembles a tree from already-built nodes over an arena — the hook
     /// [`crate::resume`] uses to materialise the frontier captured from a
     /// truncated depth-first run without re-interning or re-bounding anything.
@@ -107,7 +84,7 @@ impl PartialDTree {
     }
 
     /// Compilation statistics accumulated so far.
-    pub fn stats(&self) -> &CompileStats {
+    pub(crate) fn stats(&self) -> &CompileStats {
         &self.stats
     }
 
@@ -142,7 +119,7 @@ impl PartialDTree {
     }
 
     /// Number of nodes in the arena.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -277,86 +254,19 @@ impl PartialDTree {
         }
     }
 
-    /// Current bounds of the whole tree (Proposition 5.4), computed bottom-up
-    /// from the cached leaf bounds.
-    pub fn bounds(&self, space: &ProbabilitySpace) -> Bounds {
-        let _ = space; // leaf bounds are cached; parameter kept for symmetry
-        self.node_bounds(self.root)
-    }
-
-    fn node_bounds(&self, id: PartialNodeId) -> Bounds {
-        match &self.nodes[id.0] {
-            PNode::Leaf { bounds, .. } => *bounds,
-            PNode::Inner { op, children } => {
-                let child_bounds = children.iter().map(|&c| self.node_bounds(c));
-                match op {
-                    Op::Or => Bounds::combine_or(child_bounds),
-                    Op::And => Bounds::combine_and(child_bounds),
-                    Op::Xor => Bounds::combine_xor(child_bounds),
-                }
-            }
-        }
-    }
-
-    /// Returns the open (non-exact) leaf with the widest bounds interval, or
-    /// `None` if every leaf is exact (the tree is complete).
-    pub fn widest_open_leaf(&self) -> Option<PartialNodeId> {
-        let mut best: Option<(PartialNodeId, f64)> = None;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let PNode::Leaf { bounds, exact, .. } = node {
-                if *exact {
-                    continue;
-                }
-                let w = bounds.width();
-                if best.map(|(_, bw)| w > bw).unwrap_or(true) {
-                    best = Some((PartialNodeId(i), w));
-                }
-            }
-        }
-        best.map(|(id, _)| id)
-    }
-
-    /// `true` when every leaf is exact, i.e. the d-tree is complete.
-    pub fn is_complete(&self) -> bool {
-        self.nodes.iter().all(|n| match n {
-            PNode::Leaf { exact, .. } => *exact,
-            PNode::Inner { .. } => true,
-        })
-    }
-
     /// Refines the given leaf by one decomposition step of Figure 1 (replacing
     /// the leaf with an inner node over new leaves). Returns `false` if the
-    /// node is already exact or is not a leaf.
-    pub fn refine(
-        &mut self,
-        id: PartialNodeId,
-        space: &ProbabilitySpace,
-        opts: &CompileOptions,
-    ) -> bool {
-        self.refine_inner(id, space, opts, None)
-    }
-
-    /// Like [`PartialDTree::refine`], but with a memo layered over the bucket
-    /// bounds of the new leaves, so a resumed compilation reuses bounds
-    /// computed by earlier slices (or other lineages sharing the same
-    /// [`crate::SubformulaCache`]). Bit-identical to the memo-less path:
-    /// cached bounds are exactly what would be recomputed.
+    /// node is already exact or is not a leaf. The memo is layered over the
+    /// bucket bounds of the new leaves, so a resumed compilation reuses
+    /// bounds computed by earlier slices (or other lineages sharing the same
+    /// [`crate::SubformulaCache`]); cached bounds are exactly what would be
+    /// recomputed.
     pub(crate) fn refine_with_memo(
         &mut self,
         id: PartialNodeId,
         space: &ProbabilitySpace,
         opts: &CompileOptions,
         memo: &mut Memo<'_>,
-    ) -> bool {
-        self.refine_inner(id, space, opts, Some(memo))
-    }
-
-    fn refine_inner(
-        &mut self,
-        id: PartialNodeId,
-        space: &ProbabilitySpace,
-        opts: &CompileOptions,
-        mut memo: Option<&mut Memo<'_>>,
     ) -> bool {
         let (view, exact) = match &self.nodes[id.0] {
             PNode::Leaf { view, exact, .. } => (view.clone(), *exact),
@@ -387,10 +297,8 @@ impl PartialDTree {
         let components = view.independent_components(&self.lineage);
         if components.len() > 1 {
             self.stats.or_nodes += 1;
-            let children: Vec<PartialNodeId> = components
-                .into_iter()
-                .map(|c| self.push_leaf(c, space, memo.as_deref_mut()))
-                .collect();
+            let children: Vec<PartialNodeId> =
+                components.into_iter().map(|c| self.push_leaf(c, space, Some(memo))).collect();
             self.nodes[id.0] = PNode::Inner { op: Op::Or, children };
             return true;
         }
@@ -404,7 +312,7 @@ impl PartialDTree {
             let rest = view.strip_vars(&mut self.lineage, &vars);
             let mut children: Vec<PartialNodeId> =
                 common.iter().map(|a| self.push_exact_atom_leaf(*a, space.atom_prob(*a))).collect();
-            children.push(self.push_leaf(rest, space, memo.as_deref_mut()));
+            children.push(self.push_leaf(rest, space, Some(memo)));
             self.nodes[id.0] = PNode::Inner { op: Op::And, children };
             return true;
         }
@@ -419,7 +327,7 @@ impl PartialDTree {
                     .into_iter()
                     .map(|clauses| {
                         let factor = self.lineage.intern_sorted_clauses(&clauses);
-                        self.push_leaf(factor, space, memo.as_deref_mut())
+                        self.push_leaf(factor, space, Some(memo))
                     })
                     .collect();
                 self.nodes[id.0] = PNode::Inner { op: Op::And, children };
@@ -428,12 +336,8 @@ impl PartialDTree {
         }
 
         // Step 4: Shannon expansion.
-        let var = choose_variable_ref(
-            DnfRef::Arena(&self.lineage, &view),
-            &opts.var_order,
-            opts.origins.as_ref(),
-        )
-        .expect("non-constant DNF mentions a variable");
+        let var = choose_variable(&self.lineage, &view, &opts.var_order, opts.origins.as_ref())
+            .expect("non-constant DNF mentions a variable");
         self.stats.xor_nodes += 1;
         let mut branches = Vec::new();
         for (value, cofactor) in view.shannon_cofactors(&mut self.lineage, var, space) {
@@ -441,7 +345,7 @@ impl PartialDTree {
             self.stats.exact_leaves += 1;
             let atom_leaf =
                 self.push_exact_atom_leaf(Atom::new(var, value), space.prob(var, value));
-            let cof_leaf = self.push_leaf(cofactor, space, memo.as_deref_mut());
+            let cof_leaf = self.push_leaf(cofactor, space, Some(memo));
             let branch = PartialNodeId(self.nodes.len());
             self.nodes.push(PNode::Inner { op: Op::And, children: vec![atom_leaf, cof_leaf] });
             branches.push(branch);
@@ -473,13 +377,13 @@ fn leaf_bounds(
             stats.bound_cache_hits += 1;
             return (b, false);
         }
-        let b = dnf_bounds_ref(DnfRef::Arena(arena, view), space);
+        let b = dnf_bounds_view(arena, view, space);
         stats.bound_evaluations += 1;
         memo.put_bounds(key, view.required_watermark(arena), b);
         return (b, false);
     }
     stats.bound_evaluations += 1;
-    (dnf_bounds_ref(DnfRef::Arena(arena, view), space), false)
+    (dnf_bounds_view(arena, view, space), false)
 }
 
 #[cfg(test)]
@@ -498,25 +402,58 @@ mod tests {
         Dnf::from_clauses((0..vars.len() - 1).map(|i| Clause::from_bools(&[vars[i], vars[i + 1]])))
     }
 
+    /// A tree holding `dnf` as its single (root) leaf.
+    fn single_leaf(dnf: &Dnf, space: &ProbabilitySpace) -> PartialDTree {
+        let (lineage, root) = LineageArena::from_dnf(dnf);
+        let mut tree =
+            PartialDTree::from_raw(lineage, Vec::new(), PartialNodeId(0), CompileStats::default());
+        tree.push_leaf(root, space, None);
+        tree
+    }
+
+    fn first_open_leaf(tree: &PartialDTree) -> Option<PartialNodeId> {
+        tree.nodes
+            .iter()
+            .position(|n| matches!(n, PNode::Leaf { exact: false, .. }))
+            .map(PartialNodeId)
+    }
+
+    /// Bounds of the subtree at `id` by the monotone combination rules of
+    /// Proposition 5.4.
+    fn bounds_of(tree: &PartialDTree, id: PartialNodeId) -> Bounds {
+        match tree.node(id) {
+            PNode::Leaf { bounds, .. } => *bounds,
+            PNode::Inner { op, children } => {
+                let kids = children.iter().map(|&c| bounds_of(tree, c));
+                match op {
+                    Op::Or => Bounds::combine_or(kids),
+                    Op::And => Bounds::combine_and(kids),
+                    Op::Xor => Bounds::combine_xor(kids),
+                }
+            }
+        }
+    }
+
+    fn refine(tree: &mut PartialDTree, id: PartialNodeId, space: &ProbabilitySpace) -> bool {
+        tree.refine_with_memo(id, space, &CompileOptions::default(), &mut Memo::default())
+    }
+
     #[test]
     fn refinement_tightens_bounds_until_exact() {
         let (s, vars) = bool_space(&[0.5, 0.4, 0.3, 0.6, 0.7]);
         let phi = chain_dnf(&vars);
         let exact = phi.exact_probability_enumeration(&s);
-        let mut tree = PartialDTree::new(&phi, &s);
-        let mut prev_width = tree.bounds(&s).width();
-        assert!(tree.bounds(&s).contains(exact));
+        let mut tree = single_leaf(&phi, &s);
+        assert!(bounds_of(&tree, tree.root_id()).contains(exact));
         let mut iterations = 0;
-        while let Some(leaf) = tree.widest_open_leaf() {
-            assert!(tree.refine(leaf, &s, &CompileOptions::default()));
-            let b = tree.bounds(&s);
+        while let Some(leaf) = first_open_leaf(&tree) {
+            assert!(refine(&mut tree, leaf, &s));
+            let b = bounds_of(&tree, tree.root_id());
             assert!(b.contains(exact), "bounds {b:?} lost exact {exact}");
             iterations += 1;
             assert!(iterations < 1000, "refinement did not terminate");
-            prev_width = prev_width.max(b.width());
         }
-        assert!(tree.is_complete());
-        let final_bounds = tree.bounds(&s);
+        let final_bounds = bounds_of(&tree, tree.root_id());
         assert!(final_bounds.is_point());
         assert!((final_bounds.lower - exact).abs() < 1e-9);
     }
@@ -525,11 +462,10 @@ mod tests {
     fn refine_on_exact_leaf_is_noop() {
         let (s, vars) = bool_space(&[0.5, 0.5]);
         let phi = Dnf::from_clauses(vec![Clause::from_bools(&[vars[0], vars[1]])]);
-        let mut tree = PartialDTree::new(&phi, &s);
-        assert!(tree.is_complete());
-        assert_eq!(tree.widest_open_leaf(), None);
-        let root = PartialNodeId(0);
-        assert!(!tree.refine(root, &s, &CompileOptions::default()));
+        let mut tree = single_leaf(&phi, &s);
+        assert_eq!(first_open_leaf(&tree), None);
+        let root = tree.root_id();
+        assert!(!refine(&mut tree, root, &s));
     }
 
     #[test]
@@ -540,11 +476,11 @@ mod tests {
             Clause::from_bools(&[vars[0], vars[1]]),
             Clause::from_bools(&[vars[2], vars[3]]),
         ]);
-        let mut tree = PartialDTree::new(&phi, &s);
-        let leaf = tree.widest_open_leaf().unwrap();
-        tree.refine(leaf, &s, &CompileOptions::default());
+        let mut tree = single_leaf(&phi, &s);
+        let leaf = first_open_leaf(&tree).unwrap();
+        refine(&mut tree, leaf, &s);
         assert_eq!(tree.stats().or_nodes, 1);
-        assert!(tree.is_complete());
+        assert_eq!(first_open_leaf(&tree), None);
         assert!(tree.num_nodes() >= 3);
     }
 
@@ -556,8 +492,7 @@ mod tests {
             Clause::from_bools(&[vars[0], vars[2]]),
             Clause::from_bools(&[vars[3]]),
         ]);
-        let tree = PartialDTree::new(&phi, &s);
-        let expected = dnf_bounds(&phi, &s);
-        assert_eq!(tree.bounds(&s), expected);
+        let tree = single_leaf(&phi, &s);
+        assert_eq!(bounds_of(&tree, tree.root_id()), dnf_bounds(&phi, &s));
     }
 }

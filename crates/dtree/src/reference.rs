@@ -21,10 +21,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
 
-use events::VarOrigins;
-use events::{product_factorization, Atom, Clause, Dnf, DnfHash, ProbabilitySpace, VarId};
+use events::{
+    product_factorization, Atom, Clause, Dnf, DnfHash, LineageArena, ProbabilitySpace, VarId,
+    VarOrigins,
+};
 
-use crate::approx::{ApproxOptions, ApproxResult, RefinementStrategy};
+use crate::approx::{ApproxOptions, ApproxResult};
 use crate::bounds::{independent_or_upper_bound, Bounds};
 use crate::compile::CompileOptions;
 use crate::exact::ExactResult;
@@ -78,7 +80,8 @@ pub fn dnf_bounds_reference(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
     let order: Vec<usize> =
         dnf.clauses_by_probability_desc(space).into_iter().map(|(i, _)| i).collect();
     let mut bounds = bucket_bounds_reference(dnf, space, &order);
-    if let Some(fkg_upper) = independent_or_upper_bound(dnf, space) {
+    let (arena, view) = LineageArena::from_dnf(dnf);
+    if let Some(fkg_upper) = independent_or_upper_bound(&arena, &view, space) {
         bounds = Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper));
     }
     bounds
@@ -263,15 +266,8 @@ fn exact_rec(
 }
 
 /// The original owned-path depth-first ε-approximation with leaf closing.
-/// Bit-identical to [`crate::ApproxCompiler::run`] under the (default)
-/// [`RefinementStrategy::DepthFirstClosing`] strategy; the priority strategy
-/// is out of scope for the reference (it shares [`crate::PartialDTree`] with
-/// the production path).
+/// Bit-identical to [`crate::ApproxCompiler::run`].
 pub fn approx_reference(dnf: &Dnf, space: &ProbabilitySpace, opts: &ApproxOptions) -> ApproxResult {
-    assert!(
-        opts.strategy == RefinementStrategy::DepthFirstClosing,
-        "the reference implements only the depth-first closing strategy"
-    );
     let start = Instant::now();
     let mut dfs = Dfs {
         space,

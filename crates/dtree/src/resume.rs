@@ -420,24 +420,11 @@ impl ResumableCompilation {
     /// cumulative totals live on the handle
     /// ([`ResumableCompilation::total_steps`],
     /// [`ResumableCompilation::total_elapsed`]).
-    pub fn resume(&mut self, space: &ProbabilitySpace, budget: ResumeBudget) -> ApproxResult {
-        self.resume_with(space, budget, None)
-    }
-
-    /// Like [`ResumableCompilation::resume`] with a shared
-    /// [`SubformulaCache`] layered behind the slice's memo, so leaf bounds
-    /// and small-leaf exact folds are reused across slices and lineages.
-    /// Bit-identical to the uncached path.
-    pub fn resume_cached(
-        &mut self,
-        space: &ProbabilitySpace,
-        budget: ResumeBudget,
-        cache: &SubformulaCache,
-    ) -> ApproxResult {
-        self.resume_with(space, budget, Some(cache))
-    }
-
-    fn resume_with(
+    ///
+    /// With a `cache`, the shared [`SubformulaCache`] is layered behind the
+    /// slice's memo, so leaf bounds and small-leaf exact folds are reused
+    /// across slices and lineages. Bit-identical to the uncached path.
+    pub fn resume(
         &mut self,
         space: &ProbabilitySpace,
         budget: ResumeBudget,
@@ -551,6 +538,7 @@ impl ResumableCompilation {
                     &view,
                     space,
                     &self.compile,
+                    None,
                 );
                 let required = view.required_watermark(self.tree.lineage());
                 let stats = self.tree.stats_mut();
@@ -1083,7 +1071,7 @@ enum BranchLookup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::{ApproxCompiler, ApproxOptions, RefinementStrategy};
+    use crate::approx::{ApproxCompiler, ApproxOptions};
     use events::{Dnf, VarId};
 
     fn bool_space(ps: &[f64]) -> (ProbabilitySpace, Vec<VarId>) {
@@ -1121,7 +1109,7 @@ mod tests {
         assert!(handle.is_converged());
         assert_eq!(handle.bounds().lower.to_bits(), plain.lower.to_bits());
         assert_eq!(handle.bounds().upper.to_bits(), plain.upper.to_bits());
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(r.converged && r.steps == 0);
         assert_eq!(r.lower.to_bits(), plain.lower.to_bits());
     }
@@ -1163,7 +1151,7 @@ mod tests {
         assert!(prev.contains(exact));
         let mut slices = 0;
         while !handle.is_converged() {
-            let r = handle.resume(&s, ResumeBudget::steps(4));
+            let r = handle.resume(&s, ResumeBudget::steps(4), None);
             let b = r.bounds();
             assert!(b.lower >= prev.lower - 1e-15, "lower regressed: {prev:?} -> {b:?}");
             assert!(b.upper <= prev.upper + 1e-15, "upper regressed: {prev:?} -> {b:?}");
@@ -1189,11 +1177,11 @@ mod tests {
         let mut one = one.expect("truncated");
         let mut split = split.expect("truncated");
         let total = 30;
-        let r_one = one.resume(&s, ResumeBudget::steps(total));
+        let r_one = one.resume(&s, ResumeBudget::steps(total), None);
         let mut done = 0;
         let mut r_split = None;
         for chunk in [7, 3, 11, 9] {
-            r_split = Some(split.resume(&s, ResumeBudget::steps(chunk)));
+            r_split = Some(split.resume(&s, ResumeBudget::steps(chunk), None));
             done += chunk;
         }
         assert_eq!(done, total);
@@ -1230,8 +1218,8 @@ mod tests {
         let mut plain = plain.expect("truncated");
         let mut cached = cached.expect("truncated");
         for _ in 0..5 {
-            let a = plain.resume(&s, ResumeBudget::steps(6));
-            let b = cached.resume_cached(&s, ResumeBudget::steps(6), &cache);
+            let a = plain.resume(&s, ResumeBudget::steps(6), None);
+            let b = cached.resume(&s, ResumeBudget::steps(6), Some(&cache));
             assert_eq!(a.lower.to_bits(), b.lower.to_bits());
             assert_eq!(a.upper.to_bits(), b.upper.to_bits());
             assert_eq!(a.steps, b.steps);
@@ -1244,12 +1232,12 @@ mod tests {
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(2));
         let (first, handle) = compiler.run_resumable(&phi, &s, None);
         let mut handle = handle.expect("truncated");
-        let r = handle.resume(&s, ResumeBudget::steps(0));
+        let r = handle.resume(&s, ResumeBudget::steps(0), None);
         assert_eq!(r.steps, 0);
         assert!(!r.converged);
         assert_eq!(r.lower.to_bits(), first.lower.to_bits());
         assert_eq!(r.upper.to_bits(), first.upper.to_bits());
-        let r = handle.resume(&s, ResumeBudget::timeout(Duration::ZERO));
+        let r = handle.resume(&s, ResumeBudget::timeout(Duration::ZERO), None);
         assert_eq!(r.steps, 0);
         assert_eq!(r.lower.to_bits(), first.lower.to_bits());
     }
@@ -1263,7 +1251,7 @@ mod tests {
         // An in-place invalidation bumps the generation: the handle must not
         // serve bounds computed under the retired space state.
         s.invalidate();
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(!r.converged);
         assert_eq!(r.lower, 0.0);
         assert_eq!(r.upper, 1.0);
@@ -1271,7 +1259,7 @@ mod tests {
         assert!(handle.is_poisoned());
         assert_eq!(handle.bounds(), Bounds::vacuous());
         // Poisoning is permanent, even against a space that matches again.
-        let r2 = handle.resume(&s, ResumeBudget::unlimited());
+        let r2 = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(!r2.converged);
         assert_eq!((r2.lower, r2.upper), (0.0, 1.0));
     }
@@ -1284,7 +1272,7 @@ mod tests {
         let mut handle = handle.expect("truncated");
         // Append-only growth keeps the generation; the handle keeps working.
         let _ = s.add_bool("appended", 0.5);
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(r.converged, "resume after append should still converge");
         assert!(!handle.is_poisoned());
     }
@@ -1310,7 +1298,7 @@ mod tests {
         let exact =
             crate::exact::exact_probability(&grown, &s, &CompileOptions::default()).probability;
         assert!(handle.bounds().contains(exact), "post-delta bounds lost {exact}");
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(r.converged);
         assert!((r.estimate - exact).abs() <= 1e-9 + 1e-9, "{} vs {exact}", r.estimate);
     }
@@ -1336,10 +1324,10 @@ mod tests {
                 "bounds {:?} lost exact {exact} after delta {i}",
                 handle.bounds()
             );
-            let r = handle.resume(&s, ResumeBudget::steps(3));
+            let r = handle.resume(&s, ResumeBudget::steps(3), None);
             assert!(r.bounds().contains(exact), "bounds lost exact after slice {i}");
         }
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(r.converged);
         let exact =
             crate::exact::exact_probability(&current, &s, &CompileOptions::default()).probability;
@@ -1357,7 +1345,7 @@ mod tests {
         assert!(!handle.apply_delta(&s, &[Clause::from_bools(&[first])]));
         assert!(handle.is_poisoned());
         assert_eq!(handle.bounds(), Bounds::vacuous());
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(!r.converged);
         assert_eq!((r.lower, r.upper), (0.0, 1.0));
     }
@@ -1371,7 +1359,7 @@ mod tests {
         assert_eq!(handle.width_curve().len(), 1, "capture records the first sample");
         let w0 = handle.width_curve()[0].1;
         assert!(w0 > 0.0);
-        handle.resume(&s, ResumeBudget::steps(4));
+        handle.resume(&s, ResumeBudget::steps(4), None);
         assert_eq!(handle.width_curve().len(), 2);
         assert!(handle.width_curve()[1].1 <= w0, "resume slices never widen");
         let fresh = s.add_bool("curve-delta", 0.5);
@@ -1381,26 +1369,9 @@ mod tests {
             handle.width_curve().windows(2).all(|w| w[0].0 <= w[1].0),
             "cumulative steps are monotone"
         );
-        let r = handle.resume(&s, ResumeBudget::unlimited());
+        let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(r.converged);
         let last = *handle.width_curve().last().expect("non-empty curve");
         assert_eq!(last.0, handle.total_steps());
-    }
-
-    #[test]
-    fn priority_strategy_truncation_is_resumable_too() {
-        let (s, phi) = hard_chain(30);
-        let exact = crate::exact::exact_probability(&phi, &s, &CompileOptions::default());
-        let compiler = ApproxCompiler::new(
-            ApproxOptions::absolute(1e-7)
-                .with_strategy(RefinementStrategy::PriorityRefinement)
-                .with_max_steps(3),
-        );
-        let (first, handle) = compiler.run_resumable(&phi, &s, None);
-        assert!(!first.converged);
-        let mut handle = handle.expect("truncated priority run yields a handle");
-        let r = handle.resume(&s, ResumeBudget::unlimited());
-        assert!(r.converged);
-        assert!((r.estimate - exact.probability).abs() <= 1e-7 + 1e-9);
     }
 }

@@ -2,7 +2,6 @@
 
 use dtree::{
     compile, dnf_bounds, exact_probability, ApproxCompiler, ApproxOptions, CompileOptions,
-    RefinementStrategy,
 };
 use events::{Atom, Clause, Dnf, ProbabilitySpace, VarId};
 use proptest::prelude::*;
@@ -106,21 +105,6 @@ proptest! {
         prop_assert!(r.converged);
         prop_assert!((r.estimate - p_ref).abs() <= eps * p_ref + 1e-9,
             "estimate {} exact {} eps {}", r.estimate, p_ref, eps);
-    }
-
-    /// The priority-refinement strategy honours the same guarantee.
-    #[test]
-    fn priority_strategy_guarantee(
-        (space, dnf) in arb_space_and_dnf(),
-        eps in prop::sample::select(vec![0.1, 0.01]),
-    ) {
-        let r = ApproxCompiler::new(
-            ApproxOptions::absolute(eps).with_strategy(RefinementStrategy::PriorityRefinement),
-        )
-        .run(&dnf, &space);
-        let p_ref = dnf.exact_probability_enumeration(&space);
-        prop_assert!(r.converged);
-        prop_assert!((r.estimate - p_ref).abs() <= eps + 1e-9);
     }
 
     /// A step budget never produces unsound bounds.

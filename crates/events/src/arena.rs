@@ -100,6 +100,15 @@ impl LineageArena {
         }
     }
 
+    /// A fresh arena holding exactly `dnf`, with the root view over it —
+    /// how the `&Dnf` entry points of the compute crates reach their
+    /// view-based implementations.
+    pub fn from_dnf(dnf: &Dnf) -> (LineageArena, DnfView) {
+        let mut arena = LineageArena::with_capacity(dnf.len(), 4);
+        let root = arena.intern(dnf);
+        (arena, root)
+    }
+
     /// Number of interned clauses.
     pub fn num_clauses(&self) -> usize {
         self.spans.len()
@@ -479,6 +488,20 @@ impl DnfView {
         (0..self.len()).map(|i| self.clause_probability(arena, space, i)).sum()
     }
 
+    /// Clause positions with probabilities, sorted descending by probability
+    /// (stable, so ties keep canonical clause order) — mirrors
+    /// [`Dnf::clauses_by_probability_desc`].
+    pub fn clauses_by_probability_desc(
+        &self,
+        arena: &LineageArena,
+        space: &ProbabilitySpace,
+    ) -> Vec<(usize, f64)> {
+        let mut with_p: Vec<(usize, f64)> =
+            (0..self.len()).map(|i| (i, self.clause_probability(arena, space, i))).collect();
+        with_p.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        with_p
+    }
+
     /// Evaluates the view under a complete valuation — mirrors [`Dnf::eval`].
     pub fn eval(&self, arena: &LineageArena, valuation: &dyn Fn(VarId) -> u32) -> bool {
         (0..self.len()).any(|i| self.clause(arena, i).all(|a| valuation(a.var) == a.value))
@@ -752,22 +775,7 @@ fn subsumes_sorted(small: &[Atom], big: &[Atom]) -> bool {
     true
 }
 
-/// A borrowed lineage: either an owned [`Dnf`] or an arena [`DnfView`].
-///
-/// Algorithms that only *read* a formula (bucket bounds, variable choice,
-/// Monte-Carlo sampling) are written once against this enum, so both
-/// representations share one implementation and stay bit-identical by
-/// construction.
-#[derive(Debug, Clone, Copy)]
-pub enum DnfRef<'a> {
-    /// An owned, normalised DNF.
-    Owned(&'a Dnf),
-    /// An arena view.
-    Arena(&'a LineageArena, &'a DnfView),
-}
-
-/// Iterator over one clause's atoms (both representations store clauses as
-/// sorted atom slices).
+/// Iterator over one clause's atoms, in sorted variable order.
 #[derive(Debug, Clone)]
 pub struct ClauseAtoms<'a>(std::slice::Iter<'a, Atom>);
 
@@ -777,93 +785,6 @@ impl Iterator for ClauseAtoms<'_> {
     #[inline]
     fn next(&mut self) -> Option<Atom> {
         self.0.next().copied()
-    }
-}
-
-impl<'a> DnfRef<'a> {
-    /// Number of clauses.
-    pub fn clause_count(&self) -> usize {
-        match self {
-            DnfRef::Owned(d) => d.len(),
-            DnfRef::Arena(_, v) => v.len(),
-        }
-    }
-
-    /// `true` for the constant-`false` formula.
-    pub fn is_empty(&self) -> bool {
-        self.clause_count() == 0
-    }
-
-    /// `true` for the constant-`true` formula (some clause is empty).
-    pub fn is_tautology(&self) -> bool {
-        match self {
-            DnfRef::Owned(d) => d.is_tautology(),
-            DnfRef::Arena(a, v) => v.is_tautology(a),
-        }
-    }
-
-    /// The atoms of clause `i`, sorted by variable.
-    pub fn clause_atoms(&self, i: usize) -> ClauseAtoms<'a> {
-        match self {
-            DnfRef::Owned(d) => ClauseAtoms(d.clauses()[i].atoms().iter()),
-            DnfRef::Arena(a, v) => v.clause(a, i),
-        }
-    }
-
-    /// Length of clause `i`.
-    pub fn clause_len(&self, i: usize) -> usize {
-        match self {
-            DnfRef::Owned(d) => d.clauses()[i].len(),
-            DnfRef::Arena(a, v) => v.clause_len(a, i),
-        }
-    }
-
-    /// The value clause `i` binds `var` to, if any.
-    pub fn value_of(&self, i: usize, var: VarId) -> Option<u32> {
-        match self {
-            DnfRef::Owned(d) => d.clauses()[i].value_of(var),
-            DnfRef::Arena(a, v) => v.value_of(a, i, var),
-        }
-    }
-
-    /// `true` if clause `i` mentions `var`.
-    pub fn mentions(&self, i: usize, var: VarId) -> bool {
-        self.value_of(i, var).is_some()
-    }
-
-    /// Probability of clause `i` (product of atom marginals).
-    pub fn clause_probability(&self, space: &ProbabilitySpace, i: usize) -> f64 {
-        match self {
-            DnfRef::Owned(d) => d.clauses()[i].probability(space),
-            DnfRef::Arena(a, v) => v.clause_probability(a, space, i),
-        }
-    }
-
-    /// The set of variables occurring in the formula.
-    pub fn vars(&self) -> BTreeSet<VarId> {
-        match self {
-            DnfRef::Owned(d) => d.vars(),
-            DnfRef::Arena(a, v) => v.vars(a),
-        }
-    }
-
-    /// A most-frequently occurring variable with [`Dnf::most_frequent_var`]'s
-    /// tie-breaking.
-    pub fn most_frequent_var(&self) -> Option<VarId> {
-        match self {
-            DnfRef::Owned(d) => d.most_frequent_var(),
-            DnfRef::Arena(a, v) => v.most_frequent_var(a),
-        }
-    }
-
-    /// Clause indices with probabilities, sorted descending by probability
-    /// (stable, so ties keep canonical clause order) — mirrors
-    /// [`Dnf::clauses_by_probability_desc`].
-    pub fn clauses_by_probability_desc(&self, space: &ProbabilitySpace) -> Vec<(usize, f64)> {
-        let mut with_p: Vec<(usize, f64)> =
-            (0..self.clause_count()).map(|i| (i, self.clause_probability(space, i))).collect();
-        with_p.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        with_p
     }
 }
 
@@ -1042,30 +963,6 @@ mod tests {
         assert!(cof.is_tautology(&arena));
         assert!(cof.to_dnf(&arena).is_tautology());
         assert!(view.cofactor(&mut arena, vars[0], 0).is_empty());
-    }
-
-    #[test]
-    fn dnf_ref_agrees_across_representations() {
-        let (s, vars) = bool_space(&[0.3, 0.4, 0.5, 0.6]);
-        let dnf = chain(&vars);
-        let mut arena = LineageArena::new();
-        let view = arena.intern(&dnf);
-        let owned = DnfRef::Owned(&dnf);
-        let arenaref = DnfRef::Arena(&arena, &view);
-        assert_eq!(owned.clause_count(), arenaref.clause_count());
-        assert_eq!(owned.vars(), arenaref.vars());
-        assert_eq!(owned.most_frequent_var(), arenaref.most_frequent_var());
-        for i in 0..owned.clause_count() {
-            assert_eq!(
-                owned.clause_atoms(i).collect::<Vec<_>>(),
-                arenaref.clause_atoms(i).collect::<Vec<_>>()
-            );
-            assert_eq!(
-                owned.clause_probability(&s, i).to_bits(),
-                arenaref.clause_probability(&s, i).to_bits()
-            );
-        }
-        assert_eq!(owned.clauses_by_probability_desc(&s), arenaref.clauses_by_probability_desc(&s));
     }
 
     #[test]

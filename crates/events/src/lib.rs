@@ -20,9 +20,9 @@
 //!   combine over per-clause fingerprints), the key under which sub-formula
 //!   probabilities and bounds are memoized across the lineages of a query
 //!   batch,
-//! * [`LineageArena`] / [`DnfView`] / [`DnfRef`] — the arena-interned
-//!   lineage representation the d-tree hot path decomposes with zero clause
-//!   cloning,
+//! * [`LineageArena`] / [`DnfView`] — the arena-interned lineage
+//!   representation every confidence algorithm computes on, decomposing with
+//!   zero clause cloning,
 //! * [`Formula`] — arbitrary positive ∧/∨ formulas and read-once (1OF)
 //!   evaluation.
 //!
@@ -61,7 +61,7 @@ mod partition;
 mod space;
 mod world;
 
-pub use arena::{ClauseAtoms, DnfRef, DnfView, LineageArena, LineageDelta};
+pub use arena::{ClauseAtoms, DnfView, LineageArena, LineageDelta};
 pub use atom::{Atom, VarId, FALSE_VALUE, TRUE_VALUE};
 pub use clause::Clause;
 pub use dnf::Dnf;

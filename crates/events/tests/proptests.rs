@@ -149,7 +149,7 @@ proptest! {
         (space, dnf) in arb_space_and_dnf(8, 8, 4),
         steps in prop::collection::vec((0u8..4, 0u32..1_000_000), 1..8),
     ) {
-        use events::{DnfRef, LineageArena};
+        use events::LineageArena;
         let mut arena = LineageArena::new();
         let mut view = arena.intern(&dnf);
         let mut owned = dnf.clone();
@@ -161,10 +161,9 @@ proptest! {
             prop_assert_eq!(view.most_frequent_var(&arena), owned.most_frequent_var());
             prop_assert_eq!(view.is_tautology(&arena), owned.is_tautology());
             prop_assert_eq!(view.required_watermark(&arena), owned.required_watermark());
-            let r = DnfRef::Arena(&arena, &view);
             prop_assert_eq!(
-                r.clauses_by_probability_desc(&space),
-                DnfRef::Owned(&owned).clauses_by_probability_desc(&space)
+                view.clauses_by_probability_desc(&arena, &space),
+                owned.clauses_by_probability_desc(&space)
             );
             if owned.is_empty() || owned.is_tautology() {
                 break;

@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use events::{Dnf, ProbabilitySpace};
+use events::{Dnf, DnfView, LineageArena, ProbabilitySpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,8 +107,7 @@ pub struct McResult {
 }
 
 /// The DKLR-driven Karp-Luby approximation, prepared for one DNF. The
-/// lifetime ties an arena-backed estimator to its [`events::LineageArena`];
-/// owned preparations are `DklrEstimator<'static>`.
+/// lifetime ties the estimator to the [`LineageArena`] it borrows.
 #[derive(Debug)]
 pub struct DklrEstimator<'a> {
     kl: KarpLubyEstimator<'a>,
@@ -116,16 +115,22 @@ pub struct DklrEstimator<'a> {
 }
 
 /// Convenience wrapper: the MayBMS-style `aconf(ε, δ)` call on a lineage DNF.
+/// Interns `dnf` into a fresh arena and runs [`aconf_view`].
 pub fn aconf(dnf: &Dnf, space: &ProbabilitySpace, opts: &McOptions) -> McResult {
-    DklrEstimator::new(dnf, space, opts.clone()).run(space)
+    let (arena, root) = LineageArena::from_dnf(dnf);
+    aconf_view(&arena, &root, space, opts)
 }
 
-/// [`aconf`] on either lineage representation — for
-/// [`events::DnfRef::Arena`] the estimator samples against the arena view
-/// directly, without materialising an owned DNF. Seeded runs are
-/// bit-identical across representations of the same formula.
-pub fn aconf_ref(dnf: events::DnfRef<'_>, space: &ProbabilitySpace, opts: &McOptions) -> McResult {
-    DklrEstimator::from_ref(dnf, space, opts.clone()).run(space)
+/// [`aconf`] on an interned lineage: the estimator samples against the arena
+/// view directly. Seeded runs are bit-identical to [`aconf`] on the
+/// materialised formula.
+pub fn aconf_view(
+    arena: &LineageArena,
+    view: &DnfView,
+    space: &ProbabilitySpace,
+    opts: &McOptions,
+) -> McResult {
+    DklrEstimator::from_arena(arena, view, space, opts.clone()).run(space)
 }
 
 struct Budget {
@@ -154,16 +159,15 @@ impl Budget {
 }
 
 impl<'a> DklrEstimator<'a> {
-    /// Prepares the estimator.
-    pub fn new(dnf: &Dnf, space: &ProbabilitySpace, opts: McOptions) -> DklrEstimator<'static> {
-        DklrEstimator { kl: KarpLubyEstimator::with_variant(dnf, space, opts.variant), opts }
-    }
-
-    /// Prepares the estimator from either lineage representation (see
-    /// [`KarpLubyEstimator::from_ref`]); the [`events::DnfRef::Arena`] arm
-    /// borrows clause storage from the arena instead of copying it.
-    pub fn from_ref(dnf: events::DnfRef<'a>, space: &ProbabilitySpace, opts: McOptions) -> Self {
-        DklrEstimator { kl: KarpLubyEstimator::from_ref(dnf, space, opts.variant), opts }
+    /// Prepares the estimator for the lineage `view` interned in `arena`,
+    /// borrowing its clause storage (see [`KarpLubyEstimator::from_arena`]).
+    pub fn from_arena(
+        arena: &'a LineageArena,
+        view: &'a DnfView,
+        space: &ProbabilitySpace,
+        opts: McOptions,
+    ) -> Self {
+        DklrEstimator { kl: KarpLubyEstimator::from_arena(arena, view, space, opts.variant), opts }
     }
 
     /// Runs the three-phase DKLR schedule.

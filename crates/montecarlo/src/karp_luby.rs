@@ -17,7 +17,7 @@
 //!
 //! Both are unbiased: the expectation of the returned value is exactly `p`.
 
-use events::{Dnf, DnfRef, DnfView, LineageArena, ProbabilitySpace, Valuation, VarId};
+use events::{DnfView, LineageArena, ProbabilitySpace, Valuation, VarId};
 use rand::Rng;
 
 /// Which unbiased estimate to compute from a sampled world.
@@ -32,52 +32,21 @@ pub enum EstimatorVariant {
     ZeroOne,
 }
 
-/// Where a prepared estimator's clause atoms live.
-///
-/// The owned variant copies the formula once into a private flat pool; the
-/// borrowed variant points straight at a [`LineageArena`]'s pool, whose
-/// layout (flat atoms, clauses as spans) is already exactly what the
-/// satisfaction scans want — so preparing from an interned lineage copies
-/// *zero* atoms. Both variants feed the identical sampling code, so seeded
-/// streams agree to the bit.
-#[derive(Debug, Clone)]
-enum AtomStore<'a> {
-    /// Flat private pool; clause `i` owns `atoms[spans[i].0..spans[i].1]`.
-    Pool { atoms: Vec<events::Atom>, spans: Vec<(u32, u32)> },
-    /// Clause spans borrowed from an interned lineage.
-    Arena { arena: &'a LineageArena, view: &'a DnfView },
-}
-
-impl AtomStore<'_> {
-    #[inline]
-    fn clause_atoms(&self, i: usize) -> &[events::Atom] {
-        match self {
-            AtomStore::Pool { atoms, spans } => {
-                let (s, e) = spans[i];
-                &atoms[s as usize..e as usize]
-            }
-            AtomStore::Arena { arena, view } => view.clause_slice(arena, i),
-        }
-    }
-}
-
 /// A prepared Karp-Luby estimator for a fixed DNF.
 ///
-/// Preparation flattens the formula into clause spans over an atom pool —
-/// copied once for owned DNFs, **borrowed in place** from the
-/// [`LineageArena`] for interned lineages ([`KarpLubyEstimator::from_arena`]
-/// and the [`DnfRef::Arena`] arm of [`KarpLubyEstimator::from_ref`]), which
-/// already stores exactly this layout — and pre-computes clause
-/// probabilities, their cumulative distribution (for clause sampling), and
-/// the variable set of the DNF. Each call to [`KarpLubyEstimator::sample`]
-/// then costs one world sample plus one cache-friendly satisfaction scan
-/// over the pooled atoms.
+/// Preparation **borrows** the clauses of an interned lineage in place: the
+/// [`LineageArena`]'s pool (flat atoms, clauses as spans) is already exactly
+/// the layout the satisfaction scans want, so no atom is copied. It
+/// pre-computes clause probabilities, their cumulative distribution (for
+/// clause sampling), and the variable set of the DNF. Each call to
+/// [`KarpLubyEstimator::sample`] then costs one world sample plus one
+/// cache-friendly satisfaction scan over the pooled atoms.
 ///
-/// The lifetime parameter is the borrowed arena's; estimators prepared from
-/// an owned [`Dnf`] are `'static`.
+/// The lifetime parameter is the borrowed arena's.
 #[derive(Debug, Clone)]
 pub struct KarpLubyEstimator<'a> {
-    store: AtomStore<'a>,
+    arena: &'a LineageArena,
+    view: &'a DnfView,
     clause_probs: Vec<f64>,
     cumulative: Vec<f64>,
     total_weight: f64,
@@ -86,35 +55,7 @@ pub struct KarpLubyEstimator<'a> {
 }
 
 impl<'a> KarpLubyEstimator<'a> {
-    /// Prepares the estimator for `dnf` with the default (fractional)
-    /// variant.
-    pub fn new(dnf: &Dnf, space: &ProbabilitySpace) -> KarpLubyEstimator<'static> {
-        Self::with_variant(dnf, space, EstimatorVariant::default())
-    }
-
-    /// Prepares the estimator with an explicit variant.
-    pub fn with_variant(
-        dnf: &Dnf,
-        space: &ProbabilitySpace,
-        variant: EstimatorVariant,
-    ) -> KarpLubyEstimator<'static> {
-        let n = dnf.len();
-        let mut atoms = Vec::new();
-        let mut spans = Vec::with_capacity(n);
-        for clause in dnf.clauses() {
-            let start = atoms.len() as u32;
-            atoms.extend_from_slice(clause.atoms());
-            spans.push((start, atoms.len() as u32));
-        }
-        let clause_probs: Vec<f64> = (0..n).map(|i| dnf.clauses()[i].probability(space)).collect();
-        let vars: Vec<VarId> = dnf.vars().into_iter().collect();
-        KarpLubyEstimator::assemble(AtomStore::Pool { atoms, spans }, clause_probs, vars, variant)
-    }
-
-    /// Prepares the estimator **borrowing** an interned lineage: clause
-    /// spans point straight into the arena's atom pool, so no atom is
-    /// copied. The sampling stream is bit-identical to the copying path on
-    /// the same formula.
+    /// Prepares the estimator for the lineage `view` interned in `arena`.
     pub fn from_arena(
         arena: &'a LineageArena,
         view: &'a DnfView,
@@ -125,45 +66,26 @@ impl<'a> KarpLubyEstimator<'a> {
         let clause_probs: Vec<f64> =
             (0..n).map(|i| view.clause_probability(arena, space, i)).collect();
         let vars: Vec<VarId> = view.vars(arena).into_iter().collect();
-        KarpLubyEstimator::assemble(AtomStore::Arena { arena, view }, clause_probs, vars, variant)
-    }
-
-    /// Prepares the estimator from either lineage representation:
-    /// [`DnfRef::Owned`] copies into the private pool, [`DnfRef::Arena`]
-    /// borrows the arena in place (see
-    /// [`KarpLubyEstimator::from_arena`]). The sampling stream (clause
-    /// order, variable order, satisfaction scans) is identical for both
-    /// representations of the same formula, so seeded estimates agree to the
-    /// bit.
-    pub fn from_ref(
-        dnf: DnfRef<'a>,
-        space: &ProbabilitySpace,
-        variant: EstimatorVariant,
-    ) -> KarpLubyEstimator<'a> {
-        match dnf {
-            DnfRef::Owned(d) => Self::with_variant(d, space, variant),
-            DnfRef::Arena(arena, view) => Self::from_arena(arena, view, space, variant),
-        }
-    }
-
-    fn assemble<'b>(
-        store: AtomStore<'b>,
-        clause_probs: Vec<f64>,
-        vars: Vec<VarId>,
-        variant: EstimatorVariant,
-    ) -> KarpLubyEstimator<'b> {
-        let mut cumulative = Vec::with_capacity(clause_probs.len());
+        let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
         for &p in &clause_probs {
             acc += p;
             cumulative.push(acc);
         }
-        KarpLubyEstimator { store, clause_probs, cumulative, total_weight: acc, vars, variant }
+        KarpLubyEstimator {
+            arena,
+            view,
+            clause_probs,
+            cumulative,
+            total_weight: acc,
+            vars,
+            variant,
+        }
     }
 
     #[inline]
     fn clause_atoms(&self, i: usize) -> &[events::Atom] {
-        self.store.clause_atoms(i)
+        self.view.clause_slice(self.arena, i)
     }
 
     /// The normalising constant `U = Σ P(cᵢ)` (an upper bound on the DNF
@@ -310,7 +232,7 @@ fn sample_value<R: Rng + ?Sized>(space: &ProbabilitySpace, var: VarId, rng: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use events::Clause;
+    use events::{Clause, Dnf};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -333,20 +255,28 @@ mod tests {
     #[test]
     fn total_weight_is_sum_of_clause_probabilities() {
         let (s, phi) = example_dnf();
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         assert!((est.total_weight() - (0.06 + 0.21 + 0.8)).abs() < 1e-12);
         assert_eq!(est.num_clauses(), 3);
         assert_eq!(est.clause_probabilities().len(), 3);
     }
 
+    /// An estimator over a private copy of the formula (the fresh arena
+    /// `aconf(&Dnf)` interns into) and one borrowing a shared arena that
+    /// already holds other clauses draw bit-identical seeded streams; so do
+    /// seeded `aconf(&Dnf)` and `aconf_view`, for both estimator variants.
     #[test]
     fn arena_backed_estimator_is_bit_identical_to_copying_path() {
         let (s, phi) = example_dnf();
-        let mut arena = events::LineageArena::new();
-        let view = arena.intern(&phi);
+        let (copy, copy_view) = LineageArena::from_dnf(&phi);
+        let mut shared = LineageArena::new();
+        let other = Dnf::from_clauses(vec![Clause::from_bools(&[VarId(3), VarId(2)])]);
+        shared.intern(&other);
+        let view = shared.intern(&phi);
         for variant in [EstimatorVariant::Fractional, EstimatorVariant::ZeroOne] {
-            let copied = KarpLubyEstimator::with_variant(&phi, &s, variant);
-            let borrowed = KarpLubyEstimator::from_arena(&arena, &view, &s, variant);
+            let copied = KarpLubyEstimator::from_arena(&copy, &copy_view, &s, variant);
+            let borrowed = KarpLubyEstimator::from_arena(&shared, &view, &s, variant);
             assert_eq!(copied.total_weight().to_bits(), borrowed.total_weight().to_bits());
             assert_eq!(copied.clause_probabilities(), borrowed.clause_probabilities());
             assert_eq!(copied.num_clauses(), borrowed.num_clauses());
@@ -365,34 +295,24 @@ mod tests {
             let ea = copied.estimate_with_samples(&s, &mut rng_a, 500);
             let eb = borrowed.estimate_with_samples(&s, &mut rng_b, 500);
             assert_eq!(ea.to_bits(), eb.to_bits());
+            let opts =
+                crate::McOptions::new(0.1).with_delta(0.05).with_seed(7).with_variant(variant);
+            let owned = crate::aconf(&phi, &s, &opts);
+            let viewed = crate::aconf_view(&shared, &view, &s, &opts);
+            assert_eq!(owned.estimate.to_bits(), viewed.estimate.to_bits());
+            assert_eq!(owned.samples, viewed.samples);
+            assert_eq!(owned.converged, viewed.converged);
         }
-    }
-
-    #[test]
-    fn from_ref_dispatches_to_both_representations() {
-        let (s, phi) = example_dnf();
-        let mut arena = events::LineageArena::new();
-        let view = arena.intern(&phi);
-        let owned =
-            KarpLubyEstimator::from_ref(DnfRef::Owned(&phi), &s, EstimatorVariant::default());
-        let arena_backed = KarpLubyEstimator::from_ref(
-            DnfRef::Arena(&arena, &view),
-            &s,
-            EstimatorVariant::default(),
-        );
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let ea = owned.estimate_with_samples(&s, &mut rng_a, 300);
-        let eb = arena_backed.estimate_with_samples(&s, &mut rng_b, 300);
-        assert_eq!(ea.to_bits(), eb.to_bits());
     }
 
     #[test]
     fn trivial_inputs_are_detected() {
         let (s, _) = bool_space(&[0.5]);
-        let est = KarpLubyEstimator::new(&Dnf::empty(), &s);
+        let (arena, view) = LineageArena::from_dnf(&Dnf::empty());
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         assert_eq!(est.trivial_probability(), Some(0.0));
-        let est = KarpLubyEstimator::new(&Dnf::tautology(), &s);
+        let (arena, view) = LineageArena::from_dnf(&Dnf::tautology());
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         assert_eq!(est.trivial_probability(), Some(1.0));
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(est.estimate_with_samples(&s, &mut rng, 10), 1.0);
@@ -402,7 +322,8 @@ mod tests {
     fn fractional_estimator_converges_to_exact_probability() {
         let (s, phi) = example_dnf();
         let exact = phi.exact_probability_enumeration(&s);
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(42);
         let approx = est.estimate_with_samples(&s, &mut rng, 40_000);
         assert!(
@@ -415,7 +336,8 @@ mod tests {
     fn zero_one_estimator_converges_to_exact_probability() {
         let (s, phi) = example_dnf();
         let exact = phi.exact_probability_enumeration(&s);
-        let est = KarpLubyEstimator::with_variant(&phi, &s, EstimatorVariant::ZeroOne);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::ZeroOne);
         let mut rng = StdRng::seed_from_u64(7);
         let approx = est.estimate_with_samples(&s, &mut rng, 60_000);
         assert!(
@@ -427,7 +349,8 @@ mod tests {
     #[test]
     fn normalized_samples_are_within_unit_interval() {
         let (s, phi) = example_dnf();
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             let x = est.sample_normalized(&s, &mut rng);
@@ -446,7 +369,8 @@ mod tests {
             Clause::from_bools(&[vars[2], vars[3]]),
         ]);
         let exact = phi.exact_probability_enumeration(&s);
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(11);
         let approx = est.estimate_with_samples(&s, &mut rng, 50_000);
         assert!(exact > 0.0);
@@ -464,7 +388,8 @@ mod tests {
             Clause::from_atoms(vec![events::Atom::new(x, 2)]),
         ]);
         let exact = phi.exact_probability_enumeration(&s);
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(23);
         let approx = est.estimate_with_samples(&s, &mut rng, 40_000);
         assert!((approx - exact).abs() < 0.01, "{approx} vs {exact}");
@@ -473,7 +398,8 @@ mod tests {
     #[test]
     fn zero_samples_return_zero() {
         let (s, phi) = example_dnf();
-        let est = KarpLubyEstimator::new(&phi, &s);
+        let (arena, view) = LineageArena::from_dnf(&phi);
+        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(est.estimate_with_samples(&s, &mut rng, 0), 0.0);
     }

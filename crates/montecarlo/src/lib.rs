@@ -19,6 +19,6 @@ mod dklr;
 mod karp_luby;
 mod naive;
 
-pub use dklr::{aconf, aconf_ref, DklrEstimator, McOptions, McResult};
+pub use dklr::{aconf, aconf_view, DklrEstimator, McOptions, McResult};
 pub use karp_luby::{EstimatorVariant, KarpLubyEstimator};
-pub use naive::{naive_monte_carlo, naive_monte_carlo_ref, NaiveOptions};
+pub use naive::{naive_monte_carlo, naive_monte_carlo_view, NaiveOptions};

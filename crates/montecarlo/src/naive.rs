@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use events::{Dnf, ProbabilitySpace, Valuation, VarId};
+use events::{Dnf, DnfView, LineageArena, ProbabilitySpace, Valuation, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,31 +65,33 @@ impl NaiveOptions {
 }
 
 /// Estimates the probability of `dnf` by sampling complete possible worlds.
+/// Interns `dnf` into a fresh arena and runs [`naive_monte_carlo_view`].
 pub fn naive_monte_carlo(dnf: &Dnf, space: &ProbabilitySpace, opts: &NaiveOptions) -> McResult {
-    naive_monte_carlo_ref(events::DnfRef::Owned(dnf), space, opts)
+    let (arena, root) = LineageArena::from_dnf(dnf);
+    naive_monte_carlo_view(&arena, &root, space, opts)
 }
 
-/// [`naive_monte_carlo`] on either lineage representation — for
-/// [`events::DnfRef::Arena`] the sampler evaluates clause satisfaction
-/// against the arena view directly, without materialising an owned DNF.
-/// Seeded runs are bit-identical across representations of the same formula.
-pub fn naive_monte_carlo_ref(
-    dnf: events::DnfRef<'_>,
+/// [`naive_monte_carlo`] on an interned lineage: the sampler evaluates
+/// clause satisfaction against the arena view directly. Seeded runs are
+/// bit-identical to [`naive_monte_carlo`] on the materialised formula.
+pub fn naive_monte_carlo_view(
+    arena: &LineageArena,
+    view: &DnfView,
     space: &ProbabilitySpace,
     opts: &NaiveOptions,
 ) -> McResult {
     let start = Instant::now();
-    if dnf.is_empty() {
+    if view.is_empty() {
         return McResult { estimate: 0.0, samples: 0, converged: true, elapsed: start.elapsed() };
     }
-    if dnf.is_tautology() {
+    if view.is_tautology(arena) {
         return McResult { estimate: 1.0, samples: 0, converged: true, elapsed: start.elapsed() };
     }
     let mut rng = match opts.seed {
         Some(seed) => StdRng::seed_from_u64(seed),
         None => StdRng::from_entropy(),
     };
-    let vars: Vec<VarId> = dnf.vars().into_iter().collect();
+    let vars: Vec<VarId> = view.vars(arena).into_iter().collect();
     let target = opts.samples.unwrap_or_else(|| opts.hoeffding_samples());
     let mut hits = 0u64;
     let mut taken = 0u64;
@@ -103,10 +105,9 @@ pub fn naive_monte_carlo_ref(
         for &v in &vars {
             world.assign(v, sample_value(space, v, &mut rng));
         }
-        // Mirrors `Valuation::satisfies` on the clause iterators of either
-        // representation.
-        let satisfied = (0..dnf.clause_count())
-            .any(|i| dnf.clause_atoms(i).all(|a| world.value(a.var) == Some(a.value)));
+        // Mirrors `Valuation::satisfies` on the view's clause iterators.
+        let satisfied =
+            view.atoms(arena).any(|mut clause| clause.all(|a| world.value(a.var) == Some(a.value)));
         if satisfied {
             hits += 1;
         }

@@ -3,9 +3,9 @@
 //! probability, the DKLR stopping rule must respect its (ε, δ) contract, and
 //! budgets must be honoured.
 
-use events::{Clause, Dnf, DnfRef, LineageArena, ProbabilitySpace};
+use events::{Clause, Dnf, LineageArena, ProbabilitySpace};
 use montecarlo::{
-    aconf, aconf_ref, naive_monte_carlo, naive_monte_carlo_ref, EstimatorVariant,
+    aconf, aconf_view, naive_monte_carlo, naive_monte_carlo_view, EstimatorVariant,
     KarpLubyEstimator, McOptions, NaiveOptions,
 };
 use proptest::prelude::*;
@@ -44,8 +44,9 @@ proptest! {
     fn karp_luby_estimator_is_unbiased((ps, cs) in small_dnf(), seed in 0u64..500) {
         let (space, dnf) = build(&ps, &cs);
         let exact = dnf.exact_probability_enumeration(&space);
+        let (arena, view) = LineageArena::from_dnf(&dnf);
         for variant in [EstimatorVariant::ZeroOne, EstimatorVariant::Fractional] {
-            let kl = KarpLubyEstimator::with_variant(&dnf, &space, variant);
+            let kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
             if let Some(p) = kl.trivial_probability() {
                 prop_assert!((p - exact).abs() < 1e-9);
                 continue;
@@ -69,8 +70,9 @@ proptest! {
     #[test]
     fn fractional_variant_has_no_larger_variance((ps, cs) in small_dnf(), seed in 0u64..200) {
         let (space, dnf) = build(&ps, &cs);
+        let (arena, view) = LineageArena::from_dnf(&dnf);
         let variance = |variant| {
-            let kl = KarpLubyEstimator::with_variant(&dnf, &space, variant);
+            let kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
             if kl.trivial_probability().is_some() {
                 return 0.0;
             }
@@ -128,13 +130,13 @@ proptest! {
         let view = arena.intern(&dnf);
         let kl_opts = McOptions::new(0.1).with_delta(0.05).with_seed(seed);
         let owned = aconf(&dnf, &space, &kl_opts);
-        let viewed = aconf_ref(DnfRef::Arena(&arena, &view), &space, &kl_opts);
+        let viewed = aconf_view(&arena, &view, &space, &kl_opts);
         prop_assert_eq!(owned.estimate.to_bits(), viewed.estimate.to_bits());
         prop_assert_eq!(owned.samples, viewed.samples);
         prop_assert_eq!(owned.converged, viewed.converged);
         let nv_opts = NaiveOptions::new(0.1).with_samples(500).with_seed(seed);
         let owned = naive_monte_carlo(&dnf, &space, &nv_opts);
-        let viewed = naive_monte_carlo_ref(DnfRef::Arena(&arena, &view), &space, &nv_opts);
+        let viewed = naive_monte_carlo_view(&arena, &view, &space, &nv_opts);
         prop_assert_eq!(owned.estimate.to_bits(), viewed.estimate.to_bits());
         prop_assert_eq!(owned.samples, viewed.samples);
     }

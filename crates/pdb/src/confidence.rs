@@ -9,12 +9,11 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use dtree::{
-    exact_probability_view, exact_probability_view_cached, ApproxCompiler, ApproxOptions,
-    ApproxResult, CompileOptions, CompileStats, ErrorBound, ResumableCompilation, ResumeBudget,
-    SubformulaCache, VarOrder,
+    exact_probability_view, ApproxCompiler, ApproxOptions, ApproxResult, CompileOptions,
+    CompileStats, ErrorBound, ResumableCompilation, ResumeBudget, SubformulaCache,
 };
-use events::{Dnf, DnfRef, LineageArena, LineageDelta, ProbabilitySpace, VarOrigins};
-use montecarlo::{aconf_ref, naive_monte_carlo_ref, McOptions, NaiveOptions};
+use events::{Dnf, LineageArena, LineageDelta, ProbabilitySpace, VarOrigins};
+use montecarlo::{aconf_view, naive_monte_carlo_view, McOptions, NaiveOptions};
 
 /// The confidence-computation algorithm to run on a lineage DNF.
 #[derive(Debug, Clone)]
@@ -184,11 +183,7 @@ impl ResumableConfidence {
             max_steps: budget.max_work.map(|w| w as usize),
             timeout: budget.timeout,
         };
-        let r = match cache {
-            Some(c) => self.inner.resume_cached(space, rb, c),
-            None => self.inner.resume(space, rb),
-        };
-        self.to_result(r)
+        dtree_result(self.inner.resume(space, rb, cache), self.method.clone())
     }
 
     /// [`ResumableConfidence::resume`] against a wall-clock deadline: spends
@@ -204,19 +199,6 @@ impl ResumableConfidence {
         let remaining = deadline.saturating_duration_since(Instant::now());
         let budget = ConfidenceBudget { timeout: Some(remaining), max_work: None };
         self.resume(space, &budget, cache)
-    }
-
-    fn to_result(&self, r: ApproxResult) -> ConfidenceResult {
-        ConfidenceResult {
-            estimate: r.estimate,
-            lower: r.lower,
-            upper: r.upper,
-            converged: r.converged,
-            elapsed: r.elapsed,
-            method: self.method.clone(),
-            stats: Some(r.stats),
-            degraded: None,
-        }
     }
 
     /// Current interval width `U − L`; what further resumption shrinks.
@@ -348,91 +330,16 @@ pub fn confidence_with(
     seed: Option<u64>,
     cache: Option<&SubformulaCache>,
 ) -> ConfidenceResult {
-    let compile_opts = match origins {
-        Some(o) => CompileOptions::with_origins(o.clone()),
-        None => {
-            CompileOptions { var_order: VarOrder::MostFrequent, origins: None, max_depth: None }
-        }
-    };
     // Intern the lineage once; every method below — d-tree compilers and
     // Monte-Carlo samplers alike — evaluates against the arena view, so
     // decomposition and sampling never clone a clause again.
-    let mut arena = LineageArena::with_capacity(lineage.len(), 4);
-    let root = arena.intern(lineage);
+    let (mut arena, root) = LineageArena::from_dnf(lineage);
+    if let Some(error) = anytime_error(method, budget) {
+        let compiler = ApproxCompiler::new(approx_options(error, origins, budget));
+        let r = compiler.run_view(&mut arena, &root, space, cache);
+        return dtree_result(r, method.label());
+    }
     match method {
-        ConfidenceMethod::DTreeExact => {
-            if budget.timeout.is_none() && budget.max_work.is_none() {
-                // No budget: plain exact evaluation (no leaf bounds computed;
-                // the paper notes this can be faster than ε-approximation).
-                let start = std::time::Instant::now();
-                let r = match cache {
-                    Some(c) => {
-                        exact_probability_view_cached(&mut arena, &root, space, &compile_opts, c)
-                    }
-                    None => exact_probability_view(&mut arena, &root, space, &compile_opts),
-                };
-                ConfidenceResult {
-                    estimate: r.probability,
-                    lower: r.probability,
-                    upper: r.probability,
-                    converged: true,
-                    elapsed: start.elapsed(),
-                    method: method.label(),
-                    stats: Some(r.stats),
-                    degraded: None,
-                }
-            } else {
-                // Budgeted: route through the approximation compiler with
-                // ε = 0 so the step/time budget actually applies and a hard
-                // lineage cannot stall a batch. On truncation the result
-                // carries the (still sound) partial bounds and
-                // `converged = false`.
-                let opts = ApproxOptions {
-                    error: ErrorBound::Absolute(0.0),
-                    compile: compile_opts,
-                    strategy: Default::default(),
-                    max_steps: budget.max_work.map(|w| w as usize),
-                    timeout: budget.timeout,
-                };
-                let compiler = ApproxCompiler::new(opts);
-                let r = compiler.run_view(&mut arena, &root, space, cache);
-                ConfidenceResult {
-                    estimate: r.estimate,
-                    lower: r.lower,
-                    upper: r.upper,
-                    converged: r.converged,
-                    elapsed: r.elapsed,
-                    method: method.label(),
-                    stats: Some(r.stats),
-                    degraded: None,
-                }
-            }
-        }
-        ConfidenceMethod::DTreeAbsolute(eps) | ConfidenceMethod::DTreeRelative(eps) => {
-            let error = match method {
-                ConfidenceMethod::DTreeAbsolute(_) => ErrorBound::Absolute(*eps),
-                _ => ErrorBound::Relative(*eps),
-            };
-            let opts = ApproxOptions {
-                error,
-                compile: compile_opts,
-                strategy: Default::default(),
-                max_steps: budget.max_work.map(|w| w as usize),
-                timeout: budget.timeout,
-            };
-            let compiler = ApproxCompiler::new(opts);
-            let r = compiler.run_view(&mut arena, &root, space, cache);
-            ConfidenceResult {
-                estimate: r.estimate,
-                lower: r.lower,
-                upper: r.upper,
-                converged: r.converged,
-                elapsed: r.elapsed,
-                method: method.label(),
-                stats: Some(r.stats),
-                degraded: None,
-            }
-        }
         ConfidenceMethod::KarpLuby { epsilon, delta } => {
             let mut opts = McOptions::new(*epsilon).with_delta(*delta);
             if let Some(t) = budget.timeout {
@@ -444,7 +351,7 @@ pub fn confidence_with(
             if let Some(s) = seed {
                 opts = opts.with_seed(s);
             }
-            let r = aconf_ref(DnfRef::Arena(&arena, &root), space, &opts);
+            let r = aconf_view(&arena, &root, space, &opts);
             // The (ε, δ) guarantee is relative: p̂ ∈ [(1−ε)p, (1+ε)p] with
             // probability ≥ 1 − δ, hence p ∈ [p̂/(1+ε), p̂/(1−ε)] — but only
             // when the DKLR stopping rule actually ran to completion. A run
@@ -486,7 +393,7 @@ pub fn confidence_with(
             if let Some(s) = seed {
                 opts = opts.with_seed(s);
             }
-            let r = naive_monte_carlo_ref(DnfRef::Arena(&arena, &root), space, &opts);
+            let r = naive_monte_carlo_view(&arena, &root, space, &opts);
             // Additive (ε, δ) guarantee: p ∈ [p̂ − ε, p̂ + ε] with
             // probability ≥ 1 − δ — earned only when the Hoeffding count was
             // actually drawn (trivial formulas are exact without sampling).
@@ -507,6 +414,24 @@ pub fn confidence_with(
                 elapsed: r.elapsed,
                 method: method.label(),
                 stats: None,
+                degraded: None,
+            }
+        }
+        // Unbudgeted `DTreeExact` (every other d-tree run took the anytime
+        // compiler above): plain exact evaluation, no leaf bounds computed
+        // (the paper notes this can be faster than ε-approximation).
+        _ => {
+            let start = Instant::now();
+            let compile_opts = compile_options(origins);
+            let r = exact_probability_view(&mut arena, &root, space, &compile_opts, cache);
+            ConfidenceResult {
+                estimate: r.probability,
+                lower: r.probability,
+                upper: r.probability,
+                converged: true,
+                elapsed: start.elapsed(),
+                method: method.label(),
+                stats: Some(r.stats),
                 degraded: None,
             }
         }
@@ -532,45 +457,68 @@ pub fn confidence_resumable(
     seed: Option<u64>,
     cache: Option<&SubformulaCache>,
 ) -> (ConfidenceResult, Option<ResumableConfidence>) {
-    let budgeted = budget.timeout.is_some() || budget.max_work.is_some();
-    let error = match method {
-        ConfidenceMethod::DTreeExact if budgeted => Some(ErrorBound::Absolute(0.0)),
-        ConfidenceMethod::DTreeAbsolute(e) => Some(ErrorBound::Absolute(*e)),
-        ConfidenceMethod::DTreeRelative(e) => Some(ErrorBound::Relative(*e)),
-        _ => None,
-    };
-    let Some(error) = error else {
+    let Some(error) = anytime_error(method, budget) else {
         // Unbudgeted exact evaluation and the Monte-Carlo methods have no
         // frontier to persist.
         return (confidence_with(lineage, space, origins, method, budget, seed, cache), None);
     };
-    let compile_opts = match origins {
+    let compiler = ApproxCompiler::new(approx_options(error, origins, budget));
+    let (r, handle) = compiler.run_resumable(lineage, space, cache);
+    let handle = handle.map(|inner| ResumableConfidence { inner, method: method.label() });
+    (dtree_result(r, method.label()), handle)
+}
+
+/// The error guarantee of the anytime d-tree compiler run for `method`:
+/// the approximate d-tree methods, and [`ConfidenceMethod::DTreeExact`] under
+/// a budget, routed through the approximation compiler with ε = 0 so the
+/// step/time budget actually applies and a hard lineage cannot stall a
+/// batch (on truncation the result carries the still sound partial bounds
+/// and `converged = false`). `None` for unbudgeted exact evaluation and the
+/// Monte-Carlo methods.
+fn anytime_error(method: &ConfidenceMethod, budget: &ConfidenceBudget) -> Option<ErrorBound> {
+    let budgeted = budget.timeout.is_some() || budget.max_work.is_some();
+    match method {
+        ConfidenceMethod::DTreeExact if budgeted => Some(ErrorBound::Absolute(0.0)),
+        ConfidenceMethod::DTreeAbsolute(e) => Some(ErrorBound::Absolute(*e)),
+        ConfidenceMethod::DTreeRelative(e) => Some(ErrorBound::Relative(*e)),
+        _ => None,
+    }
+}
+
+/// Compilation options for a lineage with the given variable origins.
+fn compile_options(origins: Option<&VarOrigins>) -> CompileOptions {
+    match origins {
         Some(o) => CompileOptions::with_origins(o.clone()),
-        None => {
-            CompileOptions { var_order: VarOrder::MostFrequent, origins: None, max_depth: None }
-        }
-    };
-    let opts = ApproxOptions {
+        None => CompileOptions::default(),
+    }
+}
+
+/// Approximation options for `error` under `budget`.
+fn approx_options(
+    error: ErrorBound,
+    origins: Option<&VarOrigins>,
+    budget: &ConfidenceBudget,
+) -> ApproxOptions {
+    ApproxOptions {
         error,
-        compile: compile_opts,
-        strategy: Default::default(),
+        compile: compile_options(origins),
         max_steps: budget.max_work.map(|w| w as usize),
         timeout: budget.timeout,
-    };
-    let compiler = ApproxCompiler::new(opts);
-    let (r, handle) = compiler.run_resumable(lineage, space, cache);
-    let result = ConfidenceResult {
+    }
+}
+
+/// A d-tree approximation result as a [`ConfidenceResult`].
+fn dtree_result(r: ApproxResult, method: String) -> ConfidenceResult {
+    ConfidenceResult {
         estimate: r.estimate,
         lower: r.lower,
         upper: r.upper,
         converged: r.converged,
         elapsed: r.elapsed,
-        method: method.label(),
+        method,
         stats: Some(r.stats),
         degraded: None,
-    };
-    let handle = handle.map(|inner| ResumableConfidence { inner, method: method.label() });
-    (result, handle)
+    }
 }
 
 #[cfg(test)]

@@ -131,8 +131,8 @@ proptest! {
         let obs = Obs::enabled();
         observed.attach_obs(&obs);
         for _ in 0..32 {
-            let a = plain.resume(&space, ResumeBudget::steps(slice));
-            let b = observed.resume(&space, ResumeBudget::steps(slice));
+            let a = plain.resume(&space, ResumeBudget::steps(slice), None);
+            let b = observed.resume(&space, ResumeBudget::steps(slice), None);
             prop_assert_eq!(a.lower.to_bits(), b.lower.to_bits());
             prop_assert_eq!(a.upper.to_bits(), b.upper.to_bits());
             prop_assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());

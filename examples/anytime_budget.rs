@@ -30,7 +30,6 @@ fn main() {
         let opts = ApproxOptions {
             error: ErrorBound::Relative(0.01),
             compile: CompileOptions::with_origins(db.database().origins().clone()),
-            strategy: Default::default(),
             max_steps: Some(budget),
             timeout: None,
         };

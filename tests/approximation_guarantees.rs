@@ -4,7 +4,7 @@
 //! possible-world enumeration.
 
 use dtree_approx::dtree::{
-    dnf_bounds, dnf_bounds_fig3, exact_probability, ApproxCompiler, ApproxOptions, CompileOptions,
+    dnf_bounds, dnf_bounds_sorted, exact_probability, ApproxCompiler, ApproxOptions, CompileOptions,
 };
 use dtree_approx::events::{Clause, Dnf, ProbabilitySpace};
 use dtree_approx::montecarlo::{aconf, naive_monte_carlo, McOptions, NaiveOptions};
@@ -53,7 +53,7 @@ proptest! {
     fn leaf_bounds_bracket_exact_probability((ps, cs) in small_dnf()) {
         let (space, dnf) = build(&ps, &cs);
         let exact = dnf.exact_probability_enumeration(&space);
-        let fig3 = dnf_bounds_fig3(&dnf, &space);
+        let fig3 = dnf_bounds_sorted(&dnf, &space, true);
         let improved = dnf_bounds(&dnf, &space);
         prop_assert!(fig3.lower <= exact + 1e-9 && exact <= fig3.upper + 1e-9);
         prop_assert!(improved.lower <= exact + 1e-9 && exact <= improved.upper + 1e-9);

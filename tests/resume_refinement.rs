@@ -83,10 +83,7 @@ proptest! {
             // no-op returning the held bounds).
             let mut h = handle.expect("anytime runs always hand back their frontier");
             let budget = ResumeBudget::steps(total - k);
-            let r = match cache {
-                Some(c) => h.resume_cached(&space, budget, c),
-                None => h.resume(&space, budget),
-            };
+            let r = h.resume(&space, budget, cache);
             let width = r.upper - r.lower;
             prop_assert!(
                 width <= full + 1e-12,
