@@ -62,6 +62,6 @@ mod value;
 pub use database::{Database, TupleWriter};
 pub use engine::{dedup_lineages, BatchResult, ConfidenceEngine, MaintainResult};
 pub use pool::ResumablePool;
-pub use query::{ConjunctiveQuery, IneqOp, Predicate, QueryAnswer, SubGoal, Term};
+pub use query::{ConjunctiveQuery, IneqOp, Operand, Predicate, QueryAnswer, SubGoal, Term};
 pub use relation::{AnnotatedTuple, Relation, Schema};
 pub use value::Value;

@@ -2,9 +2,11 @@
 //! lineage DNFs, and the structural classifications (hierarchical, IQ) that
 //! govern tractability (Section VI of the paper).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
-use events::{Clause, Dnf, DnfView, LineageArena};
+use events::{Clause, Dnf};
 
 use crate::database::Database;
 use crate::value::Value;
@@ -261,127 +263,90 @@ impl ConjunctiveQuery {
     /// distinct head-value combination (a single answer with empty head for
     /// Boolean queries, provided at least one satisfying assignment exists).
     ///
-    /// The evaluator performs a left-to-right multiway hash join: for each
-    /// subgoal an index is built on the positions bound by earlier subgoals
-    /// or constants, and inequality predicates are applied as soon as both
-    /// operands are bound. The lineage of an answer is the disjunction over
-    /// satisfying assignments of the conjunction of the matched tuples'
-    /// lineages — exactly the DNF whose probability is the answer confidence.
+    /// The query is first compiled into a left-to-right join plan. Every
+    /// variable gets a slot, numbered in order of first appearance, and a
+    /// partial assignment stores its bindings as a vector indexed by slot.
+    /// For each subgoal the plan fixes, once, which tuple positions probe
+    /// the partials (variables bound by earlier subgoals), which bind new
+    /// slots, and where each inequality predicate is decided: at the first
+    /// subgoal that binds both of its operands. A *tuple-local* check —
+    /// a constant in the subgoal, a variable repeated within it, or a
+    /// predicate over its own new variables and constants — runs once per
+    /// scanned tuple, before the probe. A *cross* predicate, which reads a
+    /// slot bound earlier, runs per candidate partial on the values in
+    /// place. Only after every check has passed are the bindings copied
+    /// into a new partial and the lineages conjoined, so no partial is
+    /// built that a predicate rejects. The lineage of an answer is the
+    /// disjunction over satisfying assignments of the conjunction of the
+    /// matched tuples' lineages — exactly the DNF whose probability is the
+    /// answer confidence.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the query is not range-restricted: a head variable or a
+    /// predicate variable that no subgoal binds. The message names the
+    /// query and the variable.
     pub fn evaluate(&self, db: &Database) -> Vec<QueryAnswer> {
-        // A partial assignment: variable bindings plus the conjunction of the
+        // A partial assignment: slot bindings plus the conjunction of the
         // lineages of the tuples matched so far (kept as a clause list since
         // base-table lineages are single clauses; general DNFs distribute).
         struct Partial {
-            bindings: BTreeMap<String, Value>,
+            bindings: Vec<Value>,
             lineage: Dnf,
         }
 
-        let mut partials = vec![Partial { bindings: BTreeMap::new(), lineage: Dnf::tautology() }];
-        let mut bound: BTreeSet<String> = BTreeSet::new();
-        let mut applied_preds: Vec<bool> = vec![false; self.predicates.len()];
-
-        for sg in &self.subgoals {
-            if db.schema(&sg.relation).is_none() {
+        let plan = self.plan();
+        let mut partials = vec![Partial { bindings: Vec::new(), lineage: Dnf::tautology() }];
+        for step in &plan.steps {
+            if partials.is_empty() || db.schema(step.relation).is_none() {
                 return Vec::new();
             }
-            // Positions whose value is determined before scanning this
-            // subgoal: constants and already-bound variables.
-            let key_positions: Vec<usize> = sg
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => bound.contains(v),
-                })
-                .map(|(i, _)| i)
-                .collect();
             // Hash index of the *partials* on their probe key; the subgoal's
             // tuples then stream past it in one storage scan. This is the
             // out-of-core orientation: the relation — possibly disk-resident
             // and much larger than RAM — is never materialized; only the
             // partial assignments (the join state) and the tuples that
-            // actually match live on the heap. The final answers are
-            // bit-identical to the tuple-indexed orientation because answer
-            // lineages are canonicalized by `Dnf::from_clauses` below.
-            let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            // actually match live on the heap. The final answers do not
+            // depend on the orientation or on the order partials are built
+            // in, because answer lineages are canonicalized by
+            // `Dnf::from_clauses` below. Buckets are keyed by the key's hash,
+            // so a probe allocates nothing; the key itself is compared per
+            // candidate.
+            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
             for (pi, partial) in partials.iter().enumerate() {
-                let key: Vec<Value> = key_positions
-                    .iter()
-                    .map(|&p| match &sg.terms[p] {
-                        Term::Const(c) => c.clone(),
-                        Term::Var(v) => partial.bindings[v].clone(),
-                    })
-                    .collect();
+                let key = key_hash(step.key.iter().map(|&(_, s)| &partial.bindings[s]));
                 by_key.entry(key).or_default().push(pi);
             }
 
             let mut next = Vec::new();
-            for tuple in db.scan(&sg.relation) {
-                let key: Vec<Value> =
-                    key_positions.iter().map(|&p| tuple.values[p].clone()).collect();
+            for tuple in db.scan(step.relation) {
+                let values = &tuple.values;
+                if !step.local.iter().all(|c| c.holds(&[], values)) {
+                    continue;
+                }
+                let key = key_hash(step.key.iter().map(|&(p, _)| &values[p]));
                 let Some(candidates) = by_key.get(&key) else { continue };
-                'partials: for &pi in candidates {
+                for &pi in candidates {
                     let partial = &partials[pi];
-                    let mut bindings = partial.bindings.clone();
-                    for (pos, term) in sg.terms.iter().enumerate() {
-                        if key_positions.contains(&pos) {
-                            continue;
-                        }
-                        match term {
-                            Term::Const(c) => {
-                                if &tuple.values[pos] != c {
-                                    continue 'partials;
-                                }
-                            }
-                            Term::Var(v) => match bindings.get(v) {
-                                Some(existing) => {
-                                    if existing != &tuple.values[pos] {
-                                        continue 'partials;
-                                    }
-                                }
-                                None => {
-                                    bindings.insert(v.clone(), tuple.values[pos].clone());
-                                }
-                            },
-                        }
+                    let bound = &partial.bindings;
+                    if !step.key.iter().all(|&(p, s)| bound[s] == values[p])
+                        || !step.cross.iter().all(|c| c.holds(bound, values))
+                    {
+                        continue;
                     }
+                    let mut bindings = Vec::with_capacity(bound.len() + step.binds.len());
+                    bindings.extend_from_slice(bound);
+                    bindings.extend(step.binds.iter().map(|&p| values[p].clone()));
                     next.push(Partial { bindings, lineage: partial.lineage.and(&tuple.lineage) });
                 }
             }
             partials = next;
-            for t in &sg.terms {
-                if let Term::Var(v) = t {
-                    bound.insert(v.clone());
-                }
-            }
-            // Apply every predicate whose operands are now bound.
-            for (pi, pred) in self.predicates.iter().enumerate() {
-                if applied_preds[pi] {
-                    continue;
-                }
-                let right_bound = match &pred.right {
-                    Operand::Var(v) => bound.contains(v),
-                    Operand::Const(_) => true,
-                };
-                if bound.contains(&pred.left) && right_bound {
-                    applied_preds[pi] = true;
-                    partials.retain(|p| {
-                        let l = &p.bindings[&pred.left];
-                        let r = match &pred.right {
-                            Operand::Var(v) => p.bindings[v].clone(),
-                            Operand::Const(c) => c.clone(),
-                        };
-                        pred.op.eval(l, &r)
-                    });
-                }
-            }
         }
 
         // Group by head values and disjoin lineages.
         let mut grouped: BTreeMap<Vec<Value>, Vec<Clause>> = BTreeMap::new();
         for partial in partials {
-            let head: Vec<Value> = self.head.iter().map(|v| partial.bindings[v].clone()).collect();
+            let head: Vec<Value> = plan.head.iter().map(|&s| partial.bindings[s].clone()).collect();
             grouped.entry(head).or_default().extend(partial.lineage.into_clauses());
         }
         grouped
@@ -390,34 +355,169 @@ impl ConjunctiveQuery {
             .collect()
     }
 
-    /// Evaluates the query and interns every answer lineage directly into
-    /// `arena`, returning `(head, view)` pairs in the same order as
-    /// [`ConjunctiveQuery::evaluate`].
-    ///
-    /// This is the arena-native entry point for the streaming pipeline: the
-    /// subgoal scans already avoid materializing relations, and interning the
-    /// answer clauses (via [`LineageArena::intern_clause_stream`]) means the
-    /// d-tree algorithms can run on [`DnfView`]s without ever allocating
-    /// per-answer [`Dnf`] values. The interned views are bit-identical to the
-    /// canonical DNFs `evaluate` returns: same clause set, same canonical
-    /// order, same hash.
-    pub fn evaluate_interned(
-        &self,
-        db: &Database,
-        arena: &mut LineageArena,
-    ) -> Vec<(Vec<Value>, DnfView)> {
-        self.evaluate(db)
-            .into_iter()
-            .map(|a| {
-                let view = arena.intern_clause_stream(a.lineage.into_clauses());
-                (a.head, view)
+    /// Compiles the join plan [`ConjunctiveQuery::evaluate`] runs: slots in
+    /// first-appearance order, and per subgoal its probe key, new slots and
+    /// checks. Panics when a head or predicate variable has no slot.
+    fn plan(&self) -> Plan<'_> {
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        // `origin[s]`: the subgoal that binds slot `s`, and the position in
+        // it that binds it first.
+        let mut origin: Vec<(usize, usize)> = Vec::new();
+        let mut steps: Vec<Step<'_>> = Vec::with_capacity(self.subgoals.len());
+        for (i, sg) in self.subgoals.iter().enumerate() {
+            let mut step = Step {
+                relation: &sg.relation,
+                local: Vec::new(),
+                key: Vec::new(),
+                cross: Vec::new(),
+                binds: Vec::new(),
+            };
+            for (pos, term) in sg.terms.iter().enumerate() {
+                let v = match term {
+                    Term::Const(c) => {
+                        step.local.push(Check {
+                            left: Src::Pos(pos),
+                            op: None,
+                            right: Src::Const(c),
+                        });
+                        continue;
+                    }
+                    Term::Var(v) => v.as_str(),
+                };
+                match slot_of.get(v) {
+                    Some(&s) if origin[s].0 < i => step.key.push((pos, s)),
+                    Some(&s) => step.local.push(Check {
+                        left: Src::Pos(pos),
+                        op: None,
+                        right: Src::Pos(origin[s].1),
+                    }),
+                    None => {
+                        slot_of.insert(v, origin.len());
+                        origin.push((i, pos));
+                        step.binds.push(pos);
+                    }
+                }
+            }
+            steps.push(step);
+        }
+
+        let slot = |role: &str, v: &str| -> usize {
+            *slot_of.get(v).unwrap_or_else(|| {
+                panic!(
+                    "query `{}`: {role} variable `{v}` is bound by no subgoal \
+                     (the query is not range-restricted)",
+                    self.name
+                )
             })
-            .collect()
+        };
+        for pred in &self.predicates {
+            let left = slot("predicate", &pred.left);
+            // `Ok(slot)` for a variable operand, `Err(value)` for a constant.
+            let right = match &pred.right {
+                Operand::Var(v) => Ok(slot("predicate", v)),
+                Operand::Const(c) => Err(c),
+            };
+            // Decided at the first subgoal that binds both operands.
+            let at = origin[left].0.max(right.map_or(0, |s| origin[s].0));
+            let src = |s: usize| {
+                let (sg, pos) = origin[s];
+                if sg < at {
+                    Src::Slot(s)
+                } else {
+                    Src::Pos(pos)
+                }
+            };
+            let check = Check {
+                left: src(left),
+                op: Some(pred.op),
+                right: right.map_or_else(Src::Const, src),
+            };
+            let step = &mut steps[at];
+            if matches!(check.left, Src::Slot(_)) || matches!(check.right, Src::Slot(_)) {
+                step.cross.push(check);
+            } else {
+                step.local.push(check);
+            }
+        }
+        let head = self.head.iter().map(|v| slot("head", v)).collect();
+        Plan { steps, head }
     }
+}
+
+/// A compiled [`ConjunctiveQuery`]: one [`Step`] per subgoal, in query
+/// order, and the slots of the head variables.
+struct Plan<'q> {
+    steps: Vec<Step<'q>>,
+    head: Vec<usize>,
+}
+
+/// One subgoal of a [`Plan`].
+struct Step<'q> {
+    relation: &'q str,
+    /// Checks that read only the scanned tuple and constants.
+    local: Vec<Check<'q>>,
+    /// The probe key: `(position, slot)` for each position holding a
+    /// variable bound by an earlier subgoal.
+    key: Vec<(usize, usize)>,
+    /// Predicates that read a slot bound by an earlier subgoal.
+    cross: Vec<Check<'q>>,
+    /// Positions whose values fill the new slots, in slot order.
+    binds: Vec<usize>,
+}
+
+/// Where a [`Check`] operand is read from.
+#[derive(Clone, Copy)]
+enum Src<'q> {
+    /// A slot of the candidate partial.
+    Slot(usize),
+    /// A position of the scanned tuple.
+    Pos(usize),
+    /// A constant of the query.
+    Const(&'q Value),
+}
+
+impl<'q> Src<'q> {
+    fn read<'a>(self, bindings: &'a [Value], tuple: &'a [Value]) -> &'a Value
+    where
+        'q: 'a,
+    {
+        match self {
+            Src::Slot(s) => &bindings[s],
+            Src::Pos(p) => &tuple[p],
+            Src::Const(c) => c,
+        }
+    }
+}
+
+/// `left op right`; `op` is `None` for equality.
+struct Check<'q> {
+    left: Src<'q>,
+    op: Option<IneqOp>,
+    right: Src<'q>,
+}
+
+impl Check<'_> {
+    fn holds(&self, bindings: &[Value], tuple: &[Value]) -> bool {
+        let (l, r) = (self.left.read(bindings, tuple), self.right.read(bindings, tuple));
+        match self.op {
+            None => l == r,
+            Some(op) => op.eval(l, r),
+        }
+    }
+}
+
+/// Hash of a probe key, so that partials and tuples meet in one bucket
+/// without building a key vector per scanned tuple.
+fn key_hash<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+    let mut h = DefaultHasher::new();
+    values.for_each(|v| v.hash(&mut h));
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
+    use events::LineageArena;
+
     use super::*;
 
     /// The Figure-5 social-network edge table.
@@ -614,21 +714,42 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_interned_matches_evaluate_bit_for_bit() {
+    fn interned_answer_lineages_match_evaluate_bit_for_bit() {
         let db = rst_database();
         let q = ConjunctiveQuery::new("per_a")
             .with_head(&["A"])
             .with_subgoal("R", vec![Term::var("A")])
             .with_subgoal("S", vec![Term::var("A"), Term::var("B")]);
         let answers = q.evaluate(&db);
+        assert_eq!(answers.len(), 2);
         let mut arena = LineageArena::new();
-        let interned = q.evaluate_interned(&db, &mut arena);
-        assert_eq!(answers.len(), interned.len());
-        for (a, (head, view)) in answers.iter().zip(&interned) {
-            assert_eq!(&a.head, head);
+        for a in &answers {
+            let view = arena.intern_clause_stream(a.lineage.clone().into_clauses());
             assert_eq!(view.to_dnf(&arena), a.lineage);
             assert_eq!(view.hash(&arena), a.lineage.canonical_hash());
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "query `unbound_pred`: predicate variable `Z` is bound by no subgoal"
+    )]
+    fn predicate_on_an_unbound_variable_is_rejected() {
+        // q() :- R(A), A < Z — no subgoal binds Z, so the predicate could
+        // never be applied and the lineage would be a superset of the answer.
+        let q = ConjunctiveQuery::new("unbound_pred")
+            .with_subgoal("R", vec![Term::var("A")])
+            .with_var_predicate("A", IneqOp::Lt, "Z");
+        q.evaluate(&rst_database());
+    }
+
+    #[test]
+    #[should_panic(expected = "query `unbound_head`: head variable `Z` is bound by no subgoal")]
+    fn head_variable_bound_by_no_subgoal_is_rejected() {
+        let q = ConjunctiveQuery::new("unbound_head")
+            .with_head(&["Z"])
+            .with_subgoal("R", vec![Term::var("A")]);
+        q.evaluate(&rst_database());
     }
 
     #[test]

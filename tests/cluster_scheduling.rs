@@ -14,6 +14,7 @@
 //! * every non-converged result still carries sound `[lower, upper]`
 //!   bounds.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cluster::{ClusterEngine, SchedulePolicy};
@@ -22,6 +23,17 @@ use dtree_approx::pdb::confidence::{ConfidenceBudget, ConfidenceMethod};
 use dtree_approx::pdb::ConfidenceEngine;
 use dtree_approx::workloads::tpch::{TpchConfig, TpchDatabase, TpchQuery};
 use dtree_approx::workloads::{hardness_mix, HardnessMixConfig};
+
+/// Serializes the tests of this file. Each one compares wall-clock deadline
+/// runs, and a sibling test burning CPU on another thread would skew that
+/// comparison (hardest-first measured under contention, naive without).
+static DEADLINE_RUNS: Mutex<()> = Mutex::new(());
+
+/// The lock guards no data, so a test that panicked while holding it leaves
+/// nothing invalid behind: take the guard back from the poisoned lock.
+fn exclusive() -> MutexGuard<'static, ()> {
+    DEADLINE_RUNS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// The fig7 batch: lineages of the hard Boolean queries over a scale-factor
 /// sweep, pooled over one shared probability space. B9 lineages take tens to
@@ -59,6 +71,7 @@ fn run_policy(
 
 #[test]
 fn hardest_first_converges_at_least_as_many_as_naive_under_tight_deadline() {
+    let _serial = exclusive();
     let (db, lineages) = fig7_batch();
     assert!(lineages.len() >= 3, "fig7 hard suite should produce several lineages");
     // Tight: well below what the heavy B9 lineage needs (≥ 40 ms of exact
@@ -86,6 +99,7 @@ fn hardest_first_converges_at_least_as_many_as_naive_under_tight_deadline() {
 
 #[test]
 fn generous_deadline_is_bit_identical_to_unsharded_engine_on_fig7() {
+    let _serial = exclusive();
     let (db, lineages) = fig7_batch();
     let generous = Duration::from_secs(120);
     let single = ConfidenceEngine::new(ConfidenceMethod::DTreeExact)
@@ -110,6 +124,7 @@ fn generous_deadline_is_bit_identical_to_unsharded_engine_on_fig7() {
 /// order — the property that makes hardest-first safe to default to.
 #[test]
 fn slicing_degrades_uniformly_on_skewed_synthetic_batch() {
+    let _serial = exclusive();
     let mut cfg = HardnessMixConfig::new(10, 3);
     // Trim the stragglers a little (hundreds of ms each is plenty) to keep
     // the test fast; they remain far beyond the deadline.
@@ -152,6 +167,7 @@ fn slicing_degrades_uniformly_on_skewed_synthetic_batch() {
 /// easy items need microseconds against multi-millisecond slices.
 #[test]
 fn cluster_converges_strictly_more_than_flat_engine_under_tight_deadline() {
+    let _serial = exclusive();
     let (space, lineages) = hardness_mix(&HardnessMixConfig::new(12, 4));
     let easy_count = lineages.iter().filter(|l| l.len() <= 3).count();
     assert_eq!(easy_count, 12);
@@ -184,6 +200,7 @@ fn cluster_converges_strictly_more_than_flat_engine_under_tight_deadline() {
 /// paying per-item setup.
 #[test]
 fn expired_deadline_short_circuits_monte_carlo_batches() {
+    let _serial = exclusive();
     let mut space = ProbabilitySpace::new();
     let lineages: Vec<Dnf> = (0..30)
         .map(|k| {
