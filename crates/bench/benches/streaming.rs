@@ -1,10 +1,11 @@
 //! Criterion bench for **streaming confidence maintenance**: on a
 //! [`workloads::StreamingWorkload`] of growing answer lineages, refreshing
-//! confidences through `pdb::ConfidenceEngine::maintain_batch` (pooled
-//! d-tree frontiers absorbing [`events::LineageDelta`]s) must reach at least
-//! a 3× lower per-round refresh latency than recompiling every answer from
-//! scratch at the same budget — the delta-aware compilation win this
-//! codebase's streaming layer exists for.
+//! confidences through a one-shard `cluster::ClusterEngine::maintain_batch`
+//! (pooled d-tree frontiers absorbing [`events::LineageDelta`]s) must reach
+//! at least a 3× lower per-round refresh latency than recompiling every
+//! answer from scratch with `pdb::ConfidenceEngine::confidence_batch` at the
+//! same budget — the delta-aware compilation win this codebase's streaming
+//! layer exists for.
 //!
 //! The comparison is round-structured, so it runs once at startup (untimed
 //! by criterion), prints per-round latencies, asserts the acceptance gate,
@@ -21,6 +22,7 @@
 use std::time::{Duration, Instant};
 
 use bench::BenchRecord;
+use cluster::ClusterEngine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb::confidence::{ConfidenceBudget, ConfidenceMethod};
 use pdb::{ConfidenceEngine, ResumablePool};
@@ -59,11 +61,10 @@ fn config(smoke: bool) -> (StreamingConfig, usize) {
 /// settled if it converged, open if it truncated) followed by an unbudgeted
 /// convergence pass, so measured rounds start from the steady streaming
 /// state: fully refined frontiers waiting for deltas.
-fn seed_pool(w: &StreamingWorkload, engine: &ConfidenceEngine) -> ResumablePool {
+fn seed_pool(w: &StreamingWorkload, maintainer: &ClusterEngine) -> ResumablePool {
     let mut pool = ResumablePool::new(w.lineages().len());
-    let trickle = ConfidenceEngine::new(ConfidenceMethod::DTreeExact)
-        .with_threads(1)
-        .with_budget(ConfidenceBudget { timeout: None, max_work: Some(2) });
+    let trickle =
+        maintainer.clone().with_budget(ConfidenceBudget { timeout: None, max_work: Some(2) });
     let none: Vec<Option<events::LineageDelta>> = vec![None; w.lineages().len()];
     trickle.maintain_batch(w.lineages(), &none, w.space(), None, &mut pool);
     assert_eq!(
@@ -71,18 +72,22 @@ fn seed_pool(w: &StreamingWorkload, engine: &ConfidenceEngine) -> ResumablePool 
         w.lineages().len(),
         "the budgeted first pass must pool one frontier per answer"
     );
-    engine.maintain_batch(w.lineages(), &none, w.space(), None, &mut pool);
+    maintainer.maintain_batch(w.lineages(), &none, w.space(), None, &mut pool);
     pool
 }
 
 /// The round-structured incremental-vs-recompile experiment. Returns the
-/// workload, pool, and engine in their post-experiment state so the
-/// criterion group can time one further round on real steady-state data.
-fn streaming_experiment(smoke: bool) -> (StreamingWorkload, ResumablePool, ConfidenceEngine) {
+/// workload, pool, maintaining cluster, and recompiling engine in their
+/// post-experiment state so the criterion group can time one further round
+/// on real steady-state data.
+fn streaming_experiment(
+    smoke: bool,
+) -> (StreamingWorkload, ResumablePool, ClusterEngine, ConfidenceEngine) {
     let (cfg, rounds) = config(smoke);
     let mut w = StreamingWorkload::new(cfg);
+    let maintainer = ClusterEngine::new(ConfidenceMethod::DTreeExact).with_shards(1);
     let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact).with_threads(1);
-    let mut pool = seed_pool(&w, &engine);
+    let mut pool = seed_pool(&w, &maintainer);
 
     println!(
         "== streaming maintenance vs recompile ({} answers, {rounds} rounds{}) ==",
@@ -99,18 +104,25 @@ fn streaming_experiment(smoke: bool) -> (StreamingWorkload, ResumablePool, Confi
         tuples += deltas.iter().flatten().map(|d| d.clauses().len()).sum::<usize>();
 
         let t0 = Instant::now();
-        let maintained = engine.maintain_batch(w.lineages(), &deltas, w.space(), None, &mut pool);
+        let maintained =
+            maintainer.maintain_batch(w.lineages(), &deltas, w.space(), None, &mut pool);
         let incremental = t0.elapsed();
 
         let t0 = Instant::now();
         let scratch = engine.confidence_batch(w.lineages(), w.space(), None);
         let recompile = t0.elapsed();
 
+        // Without a timeout a round runs each dirty item once: it either
+        // resumes its pooled frontier (refreshed) or recompiles; the rest
+        // are zero-work snapshots.
+        let executed: usize = maintained.shards.iter().map(|s| s.executed).sum();
+        let refreshed = maintained.total_resumed();
+        let snapshots = maintained.results.len() - executed;
         assert_eq!(
-            maintained.recompiled, 0,
+            executed, refreshed,
             "round {round}: every answer must reuse its pooled frontier"
         );
-        assert!(maintained.refreshed > 0, "round {round}: deltas must dirty some frontier");
+        assert!(refreshed > 0, "round {round}: deltas must dirty some frontier");
         for (m, s) in maintained.results.iter().zip(&scratch.results) {
             assert!(
                 (m.estimate - s.estimate).abs() < 1e-9,
@@ -121,14 +133,12 @@ fn streaming_experiment(smoke: bool) -> (StreamingWorkload, ResumablePool, Confi
         }
         all_converged &= maintained.all_converged() && scratch.all_converged();
         println!(
-            "  round {round}: incremental {:>10.1?} (refreshed {}, snapshots {})  recompile {:>10.1?}",
-            incremental, maintained.refreshed, maintained.snapshots, recompile
+            "  round {round}: incremental {incremental:>10.1?} (refreshed {refreshed}, \
+             snapshots {snapshots})  recompile {recompile:>10.1?}"
         );
         incremental_walls.push(incremental.as_secs_f64());
         recompile_walls.push(recompile.as_secs_f64());
-        refresh_latencies.push(
-            incremental.as_secs_f64() / (maintained.refreshed + maintained.recompiled) as f64,
-        );
+        refresh_latencies.push(incremental.as_secs_f64() / executed as f64);
     }
 
     let p50 = |xs: &[f64]| {
@@ -188,12 +198,12 @@ fn streaming_experiment(smoke: bool) -> (StreamingWorkload, ResumablePool, Confi
             obs::warn("bench.report", &format!("could not write {}: {e}", path.display()));
         }
     }
-    (w, pool, engine)
+    (w, pool, maintainer, engine)
 }
 
 fn bench_streaming(c: &mut Criterion) {
     let smoke = std::env::var_os("STREAMING_SMOKE").is_some();
-    let (mut w, pool, engine) = streaming_experiment(smoke);
+    let (mut w, pool, maintainer, engine) = streaming_experiment(smoke);
 
     // Micro series: one steady-state maintenance round (clone the pre-round
     // pool each iteration so every sample absorbs the same deltas) against
@@ -205,7 +215,8 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("maintain_round", "steady"), &deltas, |b, deltas| {
         b.iter(|| {
             let mut p = pool.clone();
-            engine.maintain_batch(w.lineages(), deltas, w.space(), None, &mut p).results[0].estimate
+            maintainer.maintain_batch(w.lineages(), deltas, w.space(), None, &mut p).results[0]
+                .estimate
         })
     });
     group.bench_with_input(BenchmarkId::new("recompile_round", "steady"), &(), |b, ()| {

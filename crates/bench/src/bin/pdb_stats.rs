@@ -91,8 +91,7 @@ fn fig7_capture(out: &str) -> i32 {
     for query in TpchQuery::hard() {
         let lineage = db.boolean_lineage(&query);
         let space = db.database().space();
-        let (_, handle) = compiler.run_resumable(&lineage, space, None);
-        let Some(mut handle) = handle else { continue };
+        let (_, mut handle) = compiler.run_resumable(&lineage, space, None);
         handle.attach_obs(&obs);
         let mut slices = 0;
         while !handle.is_converged() && !handle.is_poisoned() && slices < FIG7_MAX_SLICES {

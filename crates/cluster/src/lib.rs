@@ -19,13 +19,15 @@
 //!   uniformly instead of starving the tail, and work-steals straggler
 //!   items across shards;
 //! * a [`ClusterBatchResult`] merges the per-shard outcomes with per-shard
-//!   cache, stealing, and convergence stats, plus the per-item
-//!   width-vs-budget refinement curves of every suspended d-tree frontier;
+//!   cache, stealing, and convergence stats;
 //! * [`ClusterEngine::maintain_batch`] runs one round of **streaming
-//!   maintenance** across the shards: pooled d-tree frontiers absorb
-//!   per-item lineage deltas in place, the scheduler orders the dirtied
-//!   items by how much their delta widened the bounds, and items whose
-//!   bounds stayed within the guarantee are served as zero-work snapshots.
+//!   maintenance** across the shards — the workspace's one maintenance loop,
+//!   with [`ClusterEngine::with_shards`]`(1)` as its sequential case: pooled
+//!   d-tree frontiers absorb per-item lineage deltas in place, the scheduler
+//!   orders the dirtied items by how much their delta widened the bounds,
+//!   and items whose bounds stayed within the guarantee are served as
+//!   zero-work snapshots. Each pooled frontier keeps its width-vs-budget
+//!   refinement curve ([`ResumableConfidence::width_curve`]).
 //!
 //! **Sharding never changes answers.** For the deterministic d-tree methods
 //! the cluster is bit-identical to [`ConfidenceEngine::confidence_batch`];
@@ -73,7 +75,7 @@ use dtree::{CacheStats, SubformulaCache};
 use events::{Dnf, LineageDelta, ProbabilitySpace, VarOrigins};
 use pdb::confidence::{ConfidenceBudget, ConfidenceMethod, ConfidenceResult, ResumableConfidence};
 use pdb::fault::Fault;
-use pdb::{BatchResult, ConfidenceEngine, ResumablePool};
+use pdb::{ConfidenceEngine, ResumablePool};
 
 pub use hardness::{HardnessEstimator, LineageFeatures};
 pub use router::{HashPartitioner, Partitioner, RouteItem, ShardRouter, SizeBalancedPartitioner};
@@ -153,14 +155,6 @@ pub struct ClusterBatchResult {
     /// Number of scheduling rounds run (1 unless a deadline forced
     /// refinement rounds).
     pub rounds: usize,
-    /// Per-item width-vs-budget refinement curves, harvested from the
-    /// suspended d-tree frontiers that survived the run
-    /// (`(cumulative_steps, interval_width)` samples; see
-    /// [`ResumableConfidence::width_curve`]). `None` for items that never
-    /// had a frontier captured: Monte-Carlo items, deduplicated copies,
-    /// and — in plain batches — runs without a deadline or runs that
-    /// converged without truncating.
-    pub curves: Vec<Option<Vec<(usize, f64)>>>,
 }
 
 impl ClusterBatchResult {
@@ -208,13 +202,6 @@ impl ClusterBatchResult {
     pub fn degraded_count(&self) -> usize {
         self.results.iter().filter(|r| r.degraded.is_some()).count()
     }
-
-    /// Flattens the cluster result into the unsharded engine's
-    /// [`BatchResult`] shape (results + wall + merged cache), for callers
-    /// written against the single-engine API.
-    pub fn into_batch_result(self) -> BatchResult {
-        BatchResult { results: self.results, wall: self.wall, cache: self.cache }
-    }
 }
 
 /// Sums cache-stat deltas across shards (`entries` sums too: distinct caches
@@ -231,6 +218,26 @@ fn merge_cache_stats(deltas: impl IntoIterator<Item = CacheStats>) -> CacheStats
     out
 }
 
+/// What one scheduling run is seeded with — the only thing that differs
+/// between a batch ([`ClusterEngine::confidence_batch`]) and a maintenance
+/// round ([`ClusterEngine::maintain_batch`]).
+struct Plan {
+    /// Items to schedule, in input order.
+    work: Vec<usize>,
+    /// Round-1 priority per item; `None` scores every scheduled item by its
+    /// estimated hardness.
+    scores: Option<Vec<f64>>,
+    /// Per-item suspended frontiers to resume (`None` = compile fresh).
+    handles: Vec<Option<ResumableConfidence>>,
+    /// Per-item results known without scheduling (maintenance snapshots).
+    settled: Vec<Option<ConfidenceResult>>,
+    /// `representative[i]`: the scheduled item whose result an unscheduled,
+    /// unsettled item `i` copies (a deduplicated lineage).
+    representative: Vec<usize>,
+    /// Capture resumable frontiers on fresh d-tree runs.
+    capture: bool,
+}
+
 /// A sharded, deadline-aware confidence service above
 /// [`pdb::ConfidenceEngine`]. See the [crate docs](self) for the moving
 /// parts and guarantees, and [`ClusterEngine::confidence_batch`] for the
@@ -245,7 +252,6 @@ pub struct ClusterEngine {
     partitioner: Arc<dyn Partitioner>,
     topology: CacheTopology,
     estimator: Arc<HardnessEstimator>,
-    max_rounds: usize,
     obs: obs::Obs,
     fault: Fault,
 }
@@ -259,7 +265,6 @@ impl std::fmt::Debug for ClusterEngine {
             .field("seed", &self.seed)
             .field("policy", &self.policy)
             .field("partitioner", &self.partitioner.name())
-            .field("max_rounds", &self.max_rounds)
             .finish()
     }
 }
@@ -279,7 +284,6 @@ impl ClusterEngine {
             partitioner: Arc::new(HashPartitioner),
             topology: CacheTopology::default(),
             estimator: Arc::new(HardnessEstimator::new()),
-            max_rounds: 4,
             obs: obs::Obs::default(),
             fault: Fault::disabled(),
         }
@@ -339,31 +343,13 @@ impl ClusterEngine {
         self.with_cache_topology(CacheTopology::Disabled)
     }
 
-    /// Shares a hardness estimator with other engines (and keeps its
-    /// calibration across batches). The default estimator is private to the
-    /// engine and starts uncalibrated.
-    pub fn with_estimator(mut self, estimator: Arc<HardnessEstimator>) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
-    /// Caps the number of refinement rounds a deadline may trigger
-    /// (clamped to ≥ 1; default 4). Rounds re-run non-converged items with
-    /// the time that remains, so more rounds only matter for tight
-    /// deadlines over mixed-hardness batches.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds.max(1);
-        self
-    }
-
     /// Attaches an observability sink: the scheduler emits round, steal,
     /// migration, and deadline-slack metrics and trace events
     /// (`cluster.*`); per-shard engines carry the sink into the `engine.*`
-    /// and `dtree.*` layers; and — if the engine still owns its estimator
-    /// exclusively (i.e. [`ClusterEngine::with_estimator`] was not given a
-    /// shared one) — hardness calibration error is tracked too. A shared
-    /// estimator keeps whatever sink its owner attached via
-    /// [`HardnessEstimator::attach_obs`] before wrapping it in an `Arc`.
+    /// and `dtree.*` layers; and the hardness estimator tracks its
+    /// calibration error too, unless a clone of this engine (or of its
+    /// [`ClusterEngine::estimator`] handle) already shares it — a shared
+    /// estimator keeps the sink it has.
     ///
     /// With the default (disabled) sink every handle is a no-op and results
     /// are bit-identical either way.
@@ -389,8 +375,7 @@ impl ClusterEngine {
         self
     }
 
-    /// The cluster's hardness estimator (e.g. to pre-calibrate it or share
-    /// it with another engine).
+    /// The cluster's hardness estimator (e.g. to inspect its calibration).
     pub fn estimator(&self) -> &Arc<HardnessEstimator> {
         &self.estimator
     }
@@ -421,9 +406,8 @@ impl ClusterEngine {
         origins: Option<&VarOrigins>,
     ) -> ClusterBatchResult {
         let start = Instant::now();
-        let deadline = self.budget.timeout.map(|t| start + t);
         let lineages: Vec<&Dnf> = lineages.iter().map(AsRef::as_ref).collect();
-
+        let n = lineages.len();
         // Duplicate detection via the engine's own helper, so both sides of
         // the bit-identity contract deduplicate identically: answer
         // relations with symmetries (s2(x, y) = s2(y, x)) and repeated user
@@ -431,120 +415,29 @@ impl ClusterEngine {
         // one representative. Monte-Carlo items keep their per-index seeds,
         // so every item stays its own representative there.
         let (representative, work) = pdb::dedup_lineages(&self.method, &lineages);
-
-        // Score and route (representatives only — duplicates are neither
-        // scheduled nor observed, so their features are never read).
-        let mut features: Vec<LineageFeatures> = vec![LineageFeatures::default(); lineages.len()];
-        let mut scores: Vec<f64> = vec![0.0; lineages.len()];
-        for &i in &work {
-            features[i] = LineageFeatures::of(lineages[i]);
-            scores[i] = self.estimator.score_features(&features[i]);
-        }
-        let shards = self.shards;
-        let queues: Vec<Vec<usize>> = if shards == 1 {
-            // Nothing to route: skip per-lineage fingerprinting so the
-            // 1-shard cluster stays close to the plain engine on warm,
-            // cache-hit-dominated batches.
-            vec![work.clone()]
-        } else {
-            let items: Vec<RouteItem<'_>> = work
-                .iter()
-                .map(|&index| RouteItem {
-                    index,
-                    lineage: lineages[index],
-                    hash: lineages[index].canonical_hash(),
-                    score: scores[index],
-                })
-                .collect();
-            ShardRouter::new(self.partitioner.as_ref(), shards).route(&items)
-        };
-
-        let (owned, per_shard) = self.cache_setup();
-        let cache_refs: Vec<Option<&SubformulaCache>> =
-            per_shard.iter().map(|slot| slot.map(|k| owned[k].as_ref())).collect();
-        let before: Vec<CacheStats> = owned.iter().map(|c| c.stats()).collect();
-        let engine = self.shard_engine();
-        let cobs = scheduler::ClusterObs::new(&self.obs);
-
-        let ctx = scheduler::RunContext {
-            lineages: &lineages,
-            space,
-            origins,
-            features: &features,
-            scores: &scores,
-            engine: &engine,
-            estimator: &self.estimator,
-            caches: &cache_refs,
-            policy: self.policy,
-            deadline,
-            max_rounds: self.max_rounds,
-            max_work: self.budget.max_work,
+        let plan = Plan {
+            work,
+            scores: None,
+            handles: vec![None; n],
+            settled: vec![None; n],
+            representative,
             // Capturing frontiers costs a little on every fresh run; only
             // pay it when refinement rounds could actually resume them.
-            capture: deadline.is_some() && self.max_rounds > 1,
-            obs: &cobs,
-            fault: &self.fault,
+            capture: self.budget.timeout.is_some(),
         };
-        let outcome = scheduler::execute(&ctx, queues, vec![None; lineages.len()]);
-
-        let after: Vec<CacheStats> = owned.iter().map(|c| c.stats()).collect();
-        let deltas: Vec<CacheStats> = after.iter().zip(&before).map(|(a, b)| a.since(b)).collect();
-        let shard_stats: Vec<ShardStats> = outcome
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, acc)| ShardStats {
-                shard,
-                assigned: acc.assigned,
-                executed: acc.executed,
-                stolen: acc.stolen,
-                resumed: acc.resumed,
-                migrated: acc.migrated,
-                deaths: acc.deaths,
-                compute: acc.compute,
-                cache: match self.topology {
-                    CacheTopology::PerShard => deltas.get(shard).cloned().unwrap_or_default(),
-                    _ => CacheStats::default(),
-                },
-            })
-            .collect();
-
-        // Replicate representative results onto their duplicates, with
-        // `elapsed` zeroed: no work ran for the duplicate (same contract as
-        // the unsharded engine).
-        let mut slots = outcome.results;
-        for i in 0..lineages.len() {
-            if slots[i].is_none() {
-                let mut r = slots[representative[i]]
-                    .clone()
-                    .expect("representative evaluated before duplicate fill");
-                r.elapsed = Duration::ZERO;
-                slots[i] = Some(r);
-            }
-        }
-        let curves: Vec<Option<Vec<(usize, f64)>>> =
-            outcome.handles.iter().map(|h| h.as_ref().map(|h| h.width_curve().to_vec())).collect();
-
-        ClusterBatchResult {
-            results: slots.into_iter().map(|r| r.expect("scheduler fills every slot")).collect(),
-            wall: start.elapsed(),
-            shards: shard_stats,
-            cache: merge_cache_stats(deltas),
-            rounds: outcome.rounds,
-            curves,
-        }
+        self.run(start, &lineages, space, origins, plan).0
     }
 
     /// One round of **streaming confidence maintenance** across the
-    /// cluster's shards — the sharded, schedule-aware counterpart of
-    /// [`ConfidenceEngine::maintain_batch`].
+    /// cluster's shards.
     ///
     /// Inputs per item `i`: `lineages[i]` is the item's *current*
     /// (post-append) lineage and `deltas[i]` the clauses appended since the
     /// previous round (`None` or an empty delta means no change), obtained
     /// from [`events::LineageArena::append_clauses`] or
     /// [`LineageDelta::between`]. `pool` carries the suspended d-tree
-    /// frontiers between rounds, keyed by item index.
+    /// frontiers between rounds, keyed by item index: keep one pool per
+    /// (answer set, method) pair.
     ///
     /// A sequential pre-pass takes each item's pooled handle, fails closed
     /// on stale handles ([`ResumableConfidence::is_current`]), and absorbs
@@ -556,9 +449,14 @@ impl ClusterEngine {
     /// score the maximal 1.0) — so the items the stream dirtied hardest
     /// refine first. The scheduler then resumes the seeded frontiers (or
     /// recompiles, capturing fresh frontiers) exactly as in a batch run,
-    /// deadline slicing and work stealing included; surviving handles
-    /// return to `pool` and their width curves land in
-    /// [`ClusterBatchResult::curves`].
+    /// deadline slicing and work stealing included; surviving handles,
+    /// converged or not, return to `pool`, where [`ResumablePool::get`]
+    /// exposes each one's width curve.
+    ///
+    /// Without a timeout the round is one scheduling pass, so the per-path
+    /// counts read off [`ClusterBatchResult::shards`]: `executed − resumed`
+    /// items recompiled from scratch, `resumed` items refreshed a pooled
+    /// frontier, and the other `n − executed` were snapshots.
     ///
     /// Unlike [`ClusterEngine::confidence_batch`], identical lineages are
     /// *not* deduplicated: two items with equal formulas may carry
@@ -576,19 +474,16 @@ impl ClusterEngine {
     ) -> ClusterBatchResult {
         assert_eq!(lineages.len(), deltas.len(), "one delta slot per lineage");
         let start = Instant::now();
-        let deadline = self.budget.timeout.map(|t| start + t);
         let lineages: Vec<&Dnf> = lineages.iter().map(AsRef::as_ref).collect();
         let n = lineages.len();
 
         // Pre-pass: absorb every delta into its pooled frontier and decide
         // per item whether any scheduling is needed at all.
-        let mut initial_handles: Vec<Option<ResumableConfidence>> = Vec::with_capacity(n);
-        let mut snapshot_results: Vec<Option<ConfidenceResult>> = vec![None; n];
-        let mut curves: Vec<Option<Vec<(usize, f64)>>> = vec![None; n];
-        let mut features: Vec<LineageFeatures> = vec![LineageFeatures::default(); n];
-        let mut scores: Vec<f64> = vec![0.0; n];
         let mut work: Vec<usize> = Vec::new();
-        for i in 0..n {
+        let mut scores: Vec<f64> = vec![0.0; n];
+        let mut handles: Vec<Option<ResumableConfidence>> = Vec::with_capacity(n);
+        let mut settled: Vec<Option<ConfidenceResult>> = vec![None; n];
+        for (i, delta) in deltas.iter().enumerate() {
             let mut handle = if self.method.is_deterministic() { pool.take(i) } else { None };
             // Fail closed up front: a handle pinned to an invalidated space
             // can neither absorb a delta nor resume — recompiling
@@ -597,7 +492,7 @@ impl ClusterEngine {
                 handle = None;
             }
             let width_before = handle.as_ref().map_or(0.0, ResumableConfidence::remaining_width);
-            if let (Some(h), Some(delta)) = (handle.as_mut(), deltas[i].as_ref()) {
+            if let (Some(h), Some(delta)) = (handle.as_mut(), delta) {
                 if !delta.is_empty() && !h.apply_delta(space, delta) {
                     handle = None;
                 }
@@ -607,36 +502,73 @@ impl ClusterEngine {
                     // The delta left the bounds within the guarantee:
                     // zero-work snapshot; the frontier stays pooled for the
                     // next delta.
-                    snapshot_results[i] = Some(h.snapshot_result());
-                    curves[i] = Some(h.width_curve().to_vec());
+                    settled[i] = Some(h.snapshot_result());
                     pool.insert(i, h);
-                    initial_handles.push(None);
+                    handles.push(None);
+                    continue;
                 }
-                Some(h) => {
-                    features[i] = LineageFeatures::of(lineages[i]);
-                    // Order dirtied items by how much the delta widened
-                    // their interval — the regression this round must claw
-                    // back.
-                    scores[i] = (h.remaining_width() - width_before).max(0.0);
-                    initial_handles.push(Some(h));
-                    work.push(i);
-                }
-                None => {
-                    features[i] = LineageFeatures::of(lineages[i]);
-                    // Scratch recompiles forfeit all prior refinement: the
-                    // maximal regression an interval can suffer.
-                    scores[i] = 1.0;
-                    initial_handles.push(None);
-                    work.push(i);
-                }
+                // Order dirtied items by how much the delta widened their
+                // interval — the regression this round must claw back.
+                Some(ref h) => scores[i] = (h.remaining_width() - width_before).max(0.0),
+                // Scratch recompiles forfeit all prior refinement: the
+                // maximal regression an interval can suffer.
+                None => scores[i] = 1.0,
+            }
+            handles.push(handle);
+            work.push(i);
+        }
+        let plan = Plan {
+            work,
+            scores: Some(scores),
+            handles,
+            settled,
+            representative: (0..n).collect(),
+            // Surviving frontiers outlive the run in the caller's pool,
+            // making the *next* round's deltas cheap.
+            capture: true,
+        };
+
+        let (out, survivors) = self.run(start, &lineages, space, origins, plan);
+        for (i, h) in survivors.into_iter().enumerate() {
+            if let Some(h) = h {
+                pool.insert(i, h);
             }
         }
+        out
+    }
 
-        let shards = self.shards;
-        let queues: Vec<Vec<usize>> = if shards == 1 {
-            vec![work.clone()]
+    /// The one scheduling run behind both entry points: score the planned
+    /// work, route it to shards, instantiate the cache topology, run the
+    /// scheduler, and merge per-shard stats and per-item results. Returns
+    /// the merged result and the frontiers that survived the run.
+    fn run(
+        &self,
+        start: Instant,
+        lineages: &[&Dnf],
+        space: &ProbabilitySpace,
+        origins: Option<&VarOrigins>,
+        plan: Plan,
+    ) -> (ClusterBatchResult, Vec<Option<ResumableConfidence>>) {
+        let n = lineages.len();
+        // Featurize and score scheduled items only — the others are neither
+        // run nor observed, so their features are never read.
+        let by_hardness = plan.scores.is_none();
+        let mut scores = plan.scores.unwrap_or_else(|| vec![0.0; n]);
+        let mut features: Vec<LineageFeatures> = vec![LineageFeatures::default(); n];
+        for &i in &plan.work {
+            features[i] = LineageFeatures::of(lineages[i]);
+            if by_hardness {
+                scores[i] = self.estimator.score_features(&features[i]);
+            }
+        }
+        let queues: Vec<Vec<usize>> = if self.shards == 1 {
+            // Nothing to route: skip per-lineage fingerprinting so the
+            // 1-shard cluster stays close to the plain engine on warm,
+            // cache-hit-dominated batches.
+            vec![plan.work]
         } else {
-            let items: Vec<RouteItem<'_>> = work
+            let items: Vec<RouteItem<'_>> = plan
+                .work
                 .iter()
                 .map(|&index| RouteItem {
                     index,
@@ -645,7 +577,7 @@ impl ClusterEngine {
                     score: scores[index],
                 })
                 .collect();
-            ShardRouter::new(self.partitioner.as_ref(), shards).route(&items)
+            ShardRouter::new(self.partitioner.as_ref(), self.shards).route(&items)
         };
 
         let (owned, per_shard) = self.cache_setup();
@@ -654,9 +586,8 @@ impl ClusterEngine {
         let before: Vec<CacheStats> = owned.iter().map(|c| c.stats()).collect();
         let engine = self.shard_engine();
         let cobs = scheduler::ClusterObs::new(&self.obs);
-
         let ctx = scheduler::RunContext {
-            lineages: &lineages,
+            lineages,
             space,
             origins,
             features: &features,
@@ -665,67 +596,46 @@ impl ClusterEngine {
             estimator: &self.estimator,
             caches: &cache_refs,
             policy: self.policy,
-            deadline,
-            max_rounds: self.max_rounds,
+            deadline: self.budget.timeout.map(|t| start + t),
             max_work: self.budget.max_work,
-            // Maintenance always captures: surviving frontiers outlive the
-            // run in the caller's pool, making the *next* round's deltas
-            // cheap.
-            capture: true,
+            capture: plan.capture,
             obs: &cobs,
             fault: &self.fault,
         };
-        let outcome = scheduler::execute(&ctx, queues, initial_handles);
+        let outcome = scheduler::execute(&ctx, queues, plan.handles);
 
-        let after: Vec<CacheStats> = owned.iter().map(|c| c.stats()).collect();
-        let deltas_stats: Vec<CacheStats> =
-            after.iter().zip(&before).map(|(a, b)| a.since(b)).collect();
-        let shard_stats: Vec<ShardStats> = outcome
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, acc)| ShardStats {
-                shard,
-                assigned: acc.assigned,
-                executed: acc.executed,
-                stolen: acc.stolen,
-                resumed: acc.resumed,
-                migrated: acc.migrated,
-                deaths: acc.deaths,
-                compute: acc.compute,
-                cache: match self.topology {
-                    CacheTopology::PerShard => deltas_stats.get(shard).cloned().unwrap_or_default(),
-                    _ => CacheStats::default(),
-                },
-            })
-            .collect();
-
-        // Harvest the surviving frontiers back into the pool and record
-        // their refinement curves; snapshot items recorded theirs in the
-        // pre-pass.
-        for (i, h) in outcome.handles.into_iter().enumerate() {
-            if let Some(h) = h {
-                curves[i] = Some(h.width_curve().to_vec());
-                pool.insert(i, h);
+        let deltas: Vec<CacheStats> =
+            owned.iter().zip(&before).map(|(c, b)| c.stats().since(b)).collect();
+        let mut shards = outcome.shards;
+        if let CacheTopology::PerShard = self.topology {
+            for (stats, delta) in shards.iter_mut().zip(&deltas) {
+                stats.cache = *delta;
             }
         }
 
+        // Fill the slots the scheduler never ran: a result settled up front,
+        // or a copy of the representative's with `elapsed` zeroed — no work
+        // ran for a duplicate (same contract as the unsharded engine).
         let mut slots = outcome.results;
-        for (i, snap) in snapshot_results.into_iter().enumerate() {
-            if let Some(r) = snap {
-                debug_assert!(slots[i].is_none(), "snapshot items are never scheduled");
-                slots[i] = Some(r);
+        for (i, settled) in plan.settled.into_iter().enumerate() {
+            if slots[i].is_none() {
+                let copy = settled.or_else(|| {
+                    let mut r = slots[plan.representative[i]].clone()?;
+                    r.elapsed = Duration::ZERO;
+                    Some(r)
+                });
+                slots[i] = copy;
             }
         }
 
-        ClusterBatchResult {
-            results: slots.into_iter().map(|r| r.expect("maintenance fills every slot")).collect(),
+        let result = ClusterBatchResult {
+            results: slots.into_iter().map(|r| r.expect("every slot filled")).collect(),
             wall: start.elapsed(),
-            shards: shard_stats,
-            cache: merge_cache_stats(deltas_stats),
+            shards,
+            cache: merge_cache_stats(deltas),
             rounds: outcome.rounds,
-            curves,
-        }
+        };
+        (result, outcome.handles)
     }
 
     /// Instantiates the cache topology for one run: `owned` keeps per-batch
@@ -944,7 +854,6 @@ mod tests {
             .confidence_batch(&lineages, &space, None);
         let out = ClusterEngine::new(ConfidenceMethod::DTreeExact)
             .with_shards(2)
-            .with_max_rounds(3)
             .with_budget(ConfidenceBudget {
                 timeout: Some(Duration::from_secs(2)),
                 max_work: Some(3),
@@ -1042,11 +951,11 @@ mod tests {
                 got.estimate
             );
         }
-        for curve in &r1.curves {
-            let curve = curve.as_ref().expect("maintenance harvests every frontier's curve");
+        assert_eq!(pool.len(), lineages.len(), "converged frontiers stay pooled");
+        for i in 0..lineages.len() {
+            let curve = pool.get(i).map(|h| h.width_curve()).expect("every frontier is pooled");
             assert!(curve.len() >= 2, "curve records capture + resume samples: {curve:?}");
         }
-        assert_eq!(pool.len(), lineages.len(), "converged frontiers stay pooled");
         // Round 2: nothing changed — pure snapshots, no scheduling at all.
         let none: Vec<Option<events::LineageDelta>> = vec![None; lineages.len()];
         let r2 = cluster.maintain_batch(&lineages, &none, &space, None, &mut pool);
@@ -1056,7 +965,7 @@ mod tests {
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
             assert_eq!(b.elapsed, Duration::ZERO);
         }
-        assert!(r2.curves.iter().all(Option::is_some));
+        assert!((0..lineages.len()).all(|i| pool.get(i).is_some()));
     }
 
     /// Space invalidation between rounds poisons every pooled frontier; the
@@ -1104,7 +1013,6 @@ mod tests {
             assert_eq!(want.estimate.to_bits(), got.estimate.to_bits());
         }
         assert!(pool.is_empty(), "Monte-Carlo items are never pooled");
-        assert!(maintained.curves.iter().all(Option::is_none));
     }
 
     /// Satellite of the failure model: a worker panic kills its shard for
@@ -1230,17 +1138,5 @@ mod tests {
             let exact = lineage.exact_probability_enumeration(&space);
             assert!((got.estimate - exact).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn into_batch_result_flattens() {
-        let (space, lineages) = mixed_batch();
-        let out = ClusterEngine::new(ConfidenceMethod::DTreeExact)
-            .confidence_batch(&lineages, &space, None);
-        let n = out.results.len();
-        let cache = out.cache;
-        let batch = out.into_batch_result();
-        assert_eq!(batch.results.len(), n);
-        assert_eq!(batch.cache, cache);
     }
 }

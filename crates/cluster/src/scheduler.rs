@@ -27,9 +27,8 @@
 //! 4. **Rounds.** If the deadline has not passed once every item has run,
 //!    non-converged items are re-enqueued (hardest-first) and re-run with
 //!    the now-larger slices; with a shared sub-formula cache the re-run
-//!    resumes mostly warm. Rounds stop at the deadline, at
-//!    [`max_rounds`](crate::ClusterEngine::with_max_rounds), or when
-//!    everything converged.
+//!    resumes mostly warm. Rounds stop at the deadline, after
+//!    `MAX_ROUNDS` rounds, or when everything converged.
 //!
 //! With no deadline at all, none of this machinery engages: every item runs
 //! exactly once with an unbounded timeout, which is how the cluster stays
@@ -48,6 +47,7 @@ use pdb::fault::Fault;
 use pdb::ConfidenceEngine;
 
 use crate::hardness::{HardnessEstimator, LineageFeatures};
+use crate::ShardStats;
 
 /// Slices shorter than this quantum cannot make refinement progress: the
 /// per-item setup (DNF interning, frontier bookkeeping) eats them whole.
@@ -56,6 +56,11 @@ use crate::hardness::{HardnessEstimator, LineageFeatures};
 /// refinement round with less than a quantum of runway is not started at
 /// all.
 pub(crate) const MIN_SLICE: Duration = Duration::from_micros(500);
+
+/// The most scheduling rounds one run may take. Rounds re-run non-converged
+/// items with the time that remains, so more rounds only matter for tight
+/// deadlines over mixed-hardness batches.
+const MAX_ROUNDS: usize = 4;
 
 /// The order in which a shard works through its queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,14 +143,13 @@ pub(crate) struct RunContext<'a> {
     pub caches: &'a [Option<&'a SubformulaCache>],
     pub policy: SchedulePolicy,
     pub deadline: Option<Instant>,
-    pub max_rounds: usize,
     /// Per-item step cap applied to *resumed* slices when no deadline is set
     /// (fresh runs get it through the engine's own budget).
     pub max_work: Option<u64>,
     /// Capture resumable frontiers for fresh d-tree runs. Batch mode turns
-    /// this on only when refinement rounds could use the handle (deadline
-    /// set, more than one round); maintenance mode always captures, because
-    /// surviving handles outlive the run in the caller's pool.
+    /// this on only when refinement rounds could use the handle (a deadline
+    /// is set); maintenance mode always captures, because surviving handles
+    /// outlive the run in the caller's pool.
     pub capture: bool,
     /// Pre-fetched metric/trace handles (no-ops when observability is off).
     pub obs: &'a ClusterObs,
@@ -156,25 +160,6 @@ pub(crate) struct RunContext<'a> {
     /// deterministically dying again. [`Fault::disabled`] — the default —
     /// makes the check a free no-op.
     pub fault: &'a Fault,
-}
-
-/// Mutable per-shard counters accumulated over all rounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardAccum {
-    pub assigned: usize,
-    pub executed: usize,
-    pub stolen: usize,
-    /// Executions served by resuming a suspended d-tree frontier instead of
-    /// recompiling the item from scratch.
-    pub resumed: usize,
-    /// Resumptions of a frontier whose previous slice ran on a *different*
-    /// shard — suspended handles that work stealing (or refinement
-    /// re-scoring) carried across the shard boundary.
-    pub migrated: usize,
-    /// Worker panics this shard's worker suffered (each one kills the worker
-    /// for the rest of its round; see [`run_round`]).
-    pub deaths: usize,
-    pub compute: Duration,
 }
 
 /// One item's suspended-frontier slot: the handle (if any run parked one)
@@ -191,11 +176,13 @@ pub(crate) struct HandleSlot {
 /// Outcome of the scheduling run.
 pub(crate) struct ScheduleOutcome {
     pub results: Vec<Option<ConfidenceResult>>,
-    pub shards: Vec<ShardAccum>,
+    /// Per-shard counters accumulated over all rounds (cache stats left at
+    /// zero for the caller to attribute).
+    pub shards: Vec<ShardStats>,
     pub rounds: usize,
     /// Per-item suspended frontiers that survived the run (converged handles
-    /// included — their d-trees absorb the next round's deltas). Callers
-    /// harvest width curves from them and return them to a cross-batch pool.
+    /// included — their d-trees absorb the next round's deltas). Maintenance
+    /// returns them to the caller's cross-batch pool.
     pub handles: Vec<Option<ResumableConfidence>>,
 }
 
@@ -223,9 +210,13 @@ pub(crate) fn execute(
 ) -> ScheduleOutcome {
     debug_assert_eq!(initial_handles.len(), ctx.lineages.len());
     let shards = queues.len().max(1);
-    let mut accums: Vec<ShardAccum> =
-        queues.iter().map(|q| ShardAccum { assigned: q.len(), ..Default::default() }).collect();
-    accums.resize(shards, ShardAccum::default());
+    let mut accums: Vec<ShardStats> = (0..shards)
+        .map(|shard| ShardStats {
+            shard,
+            assigned: queues.get(shard).map_or(0, Vec::len),
+            ..Default::default()
+        })
+        .collect();
     let mut results: Vec<Option<ConfidenceResult>> = vec![None; ctx.lineages.len()];
 
     // `home[i]` is the shard item `i` was originally routed to; refinement
@@ -278,7 +269,7 @@ pub(crate) fn execute(
             .emit();
 
         let Some(deadline) = ctx.deadline else { break };
-        if rounds >= ctx.max_rounds {
+        if rounds >= MAX_ROUNDS {
             break;
         }
         // A refinement round needs at least one scheduling quantum of
@@ -348,13 +339,13 @@ pub(crate) fn execute(
 /// One pass over the pending queues: one stealing worker per shard.
 ///
 /// **Shard-failure tolerance.** Every item execution runs behind a
-/// [`catch_unwind`] boundary. A panic — injected at the `"cluster.worker"`
-/// failpoint or escaping the engine for real — kills the executing worker
-/// for the rest of the round (its shard goes dead; the orphaned queue is
-/// drained by the surviving stealers, suspended frontiers migrating along
-/// the usual steal-with-handle path). The item itself is re-queued on a
-/// *different* shard exactly once per schedule (`retried`); a second panic
-/// degrades it to the vacuous interval via
+/// [`catch_unwind`] boundary ([`Round::execute`]). A panic — injected at
+/// the `"cluster.worker"` failpoint or escaping the engine for real — kills
+/// the executing worker for the rest of the round (its shard goes dead; the
+/// orphaned queue is drained by the surviving stealers, suspended frontiers
+/// migrating along the usual steal-with-handle path). The item itself is
+/// re-queued on a *different* shard exactly once per schedule (`retried`);
+/// a second panic degrades it to the vacuous interval via
 /// [`ConfidenceEngine::degrade_item`]. The single-worker fast path has no
 /// other shard to retry on: the lone worker survives the panic and retries
 /// the item once at its own queue tail instead.
@@ -362,7 +353,7 @@ fn run_round(
     ctx: &RunContext<'_>,
     pending: &[Vec<usize>],
     results: &mut [Option<ConfidenceResult>],
-    accums: &mut [ShardAccum],
+    accums: &mut [ShardStats],
     handles: &[Mutex<HandleSlot>],
     retried: &[AtomicBool],
 ) {
@@ -371,12 +362,13 @@ fn run_round(
         return;
     }
     let shards = pending.len();
+    let round = Round { ctx, results: Mutex::new(results), handles, retried };
     // One worker per shard; a worker whose queue is empty from the start
     // immediately turns into a stealer, so capacity is never parked.
     let workers = shards.min(total);
     if workers == 1 {
-        // Single worker: no stealing, no threads, no lock traffic — keeps
-        // the 1-shard cluster within spitting distance of the plain engine.
+        // Single worker: no stealing, no threads — keeps the 1-shard
+        // cluster within spitting distance of the plain engine.
         let mut left = total;
         let mut queue: VecDeque<(usize, usize)> = pending
             .iter()
@@ -386,46 +378,16 @@ fn run_round(
         while let Some((i, shard)) = queue.pop_front() {
             let item_deadline = slice_deadline(ctx.deadline, left.max(1), 1);
             left = left.saturating_sub(1);
-            match catch_unwind(AssertUnwindSafe(|| run_one(ctx, i, shard, item_deadline, handles)))
-            {
-                Ok((r, resumed, migrated)) => {
-                    accums[shard].executed += 1;
-                    accums[shard].resumed += usize::from(resumed);
-                    accums[shard].migrated += usize::from(migrated);
-                    accums[shard].compute += r.elapsed;
-                    match &results[i] {
-                        Some(old) if !improves(&r, old) => {}
-                        _ => results[i] = Some(r),
-                    }
-                }
-                Err(_) => {
-                    accums[shard].deaths += 1;
-                    ctx.obs
-                        .obs
-                        .event("cluster.shard_death")
-                        .u64("shard", shard as u64)
-                        .u64("item", i as u64)
-                        .emit();
-                    // The panic may have unwound through the item's handle
-                    // lock: recover the mutex and drop the (possibly
-                    // half-refined) frontier — recompiling is sound.
-                    handles[i].lock().unwrap_or_else(PoisonError::into_inner).handle = None;
-                    if !retried[i].swap(true, Ordering::SeqCst) {
-                        queue.push_back((i, shard));
-                        left += 1;
-                    } else if results[i].is_none() {
-                        results[i] = Some(ctx.engine.degrade_item(i, DegradationReason::ShardLost));
-                    }
-                }
-            }
+            round.execute(i, shard, item_deadline, &mut accums[shard], || {
+                queue.push_back((i, shard));
+                left += 1;
+            });
         }
         return;
     }
     let queues: Vec<Mutex<VecDeque<usize>>> =
         pending.iter().map(|q| Mutex::new(q.iter().copied().collect())).collect();
     let unstarted = AtomicUsize::new(total);
-    let out: Mutex<&mut [Option<ConfidenceResult>]> = Mutex::new(results);
-    let accum_cells: Vec<Mutex<&mut ShardAccum>> = accums.iter_mut().map(Mutex::new).collect();
 
     // A dying worker re-queues its item *after* unwinding, which can race
     // past the moment the surviving workers scanned every queue empty and
@@ -436,17 +398,11 @@ fn run_round(
     loop {
         let deaths = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let unstarted = &unstarted;
-                let out = &out;
-                let accum_cells = &accum_cells;
-                let deaths = &deaths;
+            // Each worker books into its own shard's stats.
+            for (w, acc) in accums.iter_mut().enumerate().take(workers) {
+                let (round, queues, unstarted, deaths) = (&round, &queues, &unstarted, &deaths);
                 scope.spawn(move || {
-                    let mut local = ShardAccum::default();
-                    loop {
-                        let popped = pop_or_steal(queues, w);
-                        let Some((i, stolen)) = popped else { break };
+                    while let Some((i, stolen)) = pop_or_steal(queues, w) {
                         if stolen {
                             ctx.obs
                                 .obs
@@ -456,79 +412,96 @@ fn run_round(
                                 .emit();
                         }
                         // The share computation counts this item as still
-                        // unstarted (it has not consumed time yet), so decrement
-                        // after computing the slice denominator.
+                        // unstarted (it has not consumed time yet), so
+                        // decrement after computing the slice denominator.
                         let left = unstarted.load(Ordering::Relaxed).max(1);
                         let item_deadline = slice_deadline(ctx.deadline, left, workers);
                         unstarted.fetch_sub(1, Ordering::Relaxed);
 
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            run_one(ctx, i, w, item_deadline, handles)
-                        })) {
-                            Ok((r, resumed, migrated)) => {
-                                local.executed += 1;
-                                local.stolen += usize::from(stolen);
-                                local.resumed += usize::from(resumed);
-                                local.migrated += usize::from(migrated);
-                                local.compute += r.elapsed;
-                                let mut slots = out.lock().expect("result slots poisoned");
-                                match &slots[i] {
-                                    Some(old) if !improves(&r, old) => {}
-                                    _ => slots[i] = Some(r),
-                                }
-                            }
-                            Err(_) => {
-                                local.deaths += 1;
-                                deaths.fetch_add(1, Ordering::Relaxed);
-                                ctx.obs
-                                    .obs
-                                    .event("cluster.shard_death")
-                                    .u64("shard", w as u64)
-                                    .u64("item", i as u64)
-                                    .emit();
-                                // The panic may have unwound through the item's
-                                // handle lock: recover the mutex and drop the
-                                // (possibly half-refined) frontier — recompiling
-                                // on the retry shard is sound.
-                                handles[i].lock().unwrap_or_else(PoisonError::into_inner).handle =
-                                    None;
-                                if !retried[i].swap(true, Ordering::SeqCst) {
-                                    // First failure: hand the item to the next
-                                    // shard's queue. Even if that shard's worker
-                                    // is dead too, a surviving stealer drains it.
-                                    queues[(w + 1) % shards]
-                                        .lock()
-                                        .expect("queue poisoned")
-                                        .push_back(i);
-                                    unstarted.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    let r =
-                                        ctx.engine.degrade_item(i, DegradationReason::ShardLost);
-                                    let mut slots = out.lock().expect("result slots poisoned");
-                                    if slots[i].is_none() {
-                                        slots[i] = Some(r);
-                                    }
-                                }
-                                // This worker's shard is dead for the rest of
-                                // the round; its queue is drained by the
-                                // surviving stealers.
-                                break;
-                            }
+                        let alive = round.execute(i, w, item_deadline, acc, || {
+                            // Hand the item to the next shard's queue. Even
+                            // if that shard's worker is dead too, a
+                            // surviving stealer drains it.
+                            queues[(w + 1) % shards].lock().expect("queue poisoned").push_back(i);
+                            unstarted.fetch_add(1, Ordering::Relaxed);
+                        });
+                        if !alive {
+                            // This worker's shard is dead for the rest of
+                            // the round; its queue is drained by the
+                            // surviving stealers.
+                            deaths.fetch_add(1, Ordering::Relaxed);
+                            break;
                         }
+                        acc.stolen += usize::from(stolen);
                     }
-                    let mut acc = accum_cells[w].lock().expect("accum poisoned");
-                    acc.executed += local.executed;
-                    acc.stolen += local.stolen;
-                    acc.resumed += local.resumed;
-                    acc.migrated += local.migrated;
-                    acc.deaths += local.deaths;
-                    acc.compute += local.compute;
                 });
             }
         });
         let leftover: usize = queues.iter().map(|q| q.lock().expect("queue poisoned").len()).sum();
         if leftover == 0 || deaths.load(Ordering::Relaxed) >= workers {
             break;
+        }
+    }
+}
+
+/// What every worker of one round shares.
+struct Round<'r, 'c> {
+    ctx: &'r RunContext<'c>,
+    results: Mutex<&'r mut [Option<ConfidenceResult>]>,
+    handles: &'r [Mutex<HandleSlot>],
+    retried: &'r [AtomicBool],
+}
+
+impl Round<'_, '_> {
+    /// Executes item `i` on `shard` behind the fault boundary and books the
+    /// outcome into `acc`. A finished run keeps the better of the item's old
+    /// and new result ([`improves`]). A panic counts a death, drops the
+    /// item's frontier — the unwind may have passed through its lock, and
+    /// recompiling is sound — and spends the item's one retry per schedule
+    /// by calling `requeue`; a second panic degrades the item instead.
+    /// Returns `false` when the execution panicked.
+    fn execute(
+        &self,
+        i: usize,
+        shard: usize,
+        item_deadline: Option<Instant>,
+        acc: &mut ShardStats,
+        requeue: impl FnOnce(),
+    ) -> bool {
+        let ctx = self.ctx;
+        match catch_unwind(AssertUnwindSafe(|| run_one(ctx, i, shard, item_deadline, self.handles)))
+        {
+            Ok((r, resumed, migrated)) => {
+                acc.executed += 1;
+                acc.resumed += usize::from(resumed);
+                acc.migrated += usize::from(migrated);
+                acc.compute += r.elapsed;
+                let mut slots = self.results.lock().expect("result slots poisoned");
+                match &slots[i] {
+                    Some(old) if !improves(&r, old) => {}
+                    _ => slots[i] = Some(r),
+                }
+                true
+            }
+            Err(_) => {
+                acc.deaths += 1;
+                ctx.obs
+                    .obs
+                    .event("cluster.shard_death")
+                    .u64("shard", shard as u64)
+                    .u64("item", i as u64)
+                    .emit();
+                self.handles[i].lock().unwrap_or_else(PoisonError::into_inner).handle = None;
+                if !self.retried[i].swap(true, Ordering::SeqCst) {
+                    requeue();
+                } else {
+                    let mut slots = self.results.lock().expect("result slots poisoned");
+                    if slots[i].is_none() {
+                        slots[i] = Some(ctx.engine.degrade_item(i, DegradationReason::ShardLost));
+                    }
+                }
+                false
+            }
         }
     }
 }
@@ -764,7 +737,6 @@ mod tests {
             caches: &[None, None],
             policy: SchedulePolicy::HardestFirst,
             deadline: None,
-            max_rounds: 1,
             max_work: None,
             capture: true,
             obs: &cobs,
@@ -773,7 +745,7 @@ mod tests {
         let handles = vec![Mutex::new(HandleSlot::default())];
         let retried = vec![AtomicBool::new(false)];
         let mut results = vec![None];
-        let mut accums = vec![ShardAccum::default(); 2];
+        let mut accums = vec![ShardStats::default(); 2];
 
         // Round 1: shard 0 runs the item fresh and parks its frontier.
         run_round(&ctx, &[vec![0], vec![]], &mut results, &mut accums, &handles, &retried);

@@ -240,7 +240,7 @@ impl ApproxCompiler {
         dnf: &Dnf,
         space: &ProbabilitySpace,
         cache: Option<&SubformulaCache>,
-    ) -> (ApproxResult, Option<ResumableCompilation>) {
+    ) -> (ApproxResult, ResumableCompilation) {
         let (mut arena, root) = LineageArena::from_dnf(dnf);
         let (result, captured) = self.run_dfs(&mut arena, root, space, cache, true);
         let mut captured = captured.expect("capture was enabled");
@@ -248,7 +248,7 @@ impl ApproxCompiler {
         debug_assert!(captured.is_empty(), "capture stack fully unwound");
         let tree = crate::resume::tree_from_capture(arena, root_cap, result.stats);
         let handle = ResumableCompilation::from_tree(tree, &self.opts, &result, space);
-        (result, Some(handle))
+        (result, handle)
     }
 
     fn run_dfs(

@@ -1096,7 +1096,7 @@ mod tests {
         let (s, phi) = hard_chain(20);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(0.01));
         let plain = compiler.run(&phi, &s);
-        let (resumable, handle) = compiler.run_resumable(&phi, &s, None);
+        let (resumable, mut handle) = compiler.run_resumable(&phi, &s, None);
         assert!(plain.converged && resumable.converged);
         assert_eq!(plain.estimate.to_bits(), resumable.estimate.to_bits());
         assert_eq!(plain.lower.to_bits(), resumable.lower.to_bits());
@@ -1105,7 +1105,6 @@ mod tests {
         assert_eq!(plain.stats, resumable.stats);
         // The settled frontier is returned so later deltas can be absorbed
         // in place; resuming it is a no-op with identical bounds.
-        let mut handle = handle.expect("converged runs still hand back their frontier");
         assert!(handle.is_converged());
         assert_eq!(handle.bounds().lower.to_bits(), plain.lower.to_bits());
         assert_eq!(handle.bounds().upper.to_bits(), plain.upper.to_bits());
@@ -1128,10 +1127,9 @@ mod tests {
             assert_eq!(plain.stats, resumable.stats);
             assert_eq!(plain.converged, resumable.converged);
             if !resumable.converged {
-                let h = handle.expect("non-converged run yields a handle");
-                assert_eq!(h.bounds().lower.to_bits(), resumable.lower.to_bits());
-                assert_eq!(h.bounds().upper.to_bits(), resumable.upper.to_bits());
-                assert!(h.frontier_len() > 0);
+                assert_eq!(handle.bounds().lower.to_bits(), resumable.lower.to_bits());
+                assert_eq!(handle.bounds().upper.to_bits(), resumable.upper.to_bits());
+                assert!(handle.frontier_len() > 0);
             }
         }
     }
@@ -1144,9 +1142,8 @@ mod tests {
             r.probability
         };
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-6).with_max_steps(3));
-        let (first, handle) = compiler.run_resumable(&phi, &s, None);
+        let (first, mut handle) = compiler.run_resumable(&phi, &s, None);
         assert!(!first.converged);
-        let mut handle = handle.expect("truncated");
         let mut prev = handle.bounds();
         assert!(prev.contains(exact));
         let mut slices = 0;
@@ -1172,10 +1169,8 @@ mod tests {
     fn split_resume_is_bit_identical_to_one_shot_resume() {
         let (s, phi) = hard_chain(36);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(4));
-        let (_, one) = compiler.run_resumable(&phi, &s, None);
-        let (_, split) = compiler.run_resumable(&phi, &s, None);
-        let mut one = one.expect("truncated");
-        let mut split = split.expect("truncated");
+        let (_, mut one) = compiler.run_resumable(&phi, &s, None);
+        let (_, mut split) = compiler.run_resumable(&phi, &s, None);
         let total = 30;
         let r_one = one.resume(&s, ResumeBudget::steps(total), None);
         let mut done = 0;
@@ -1212,11 +1207,9 @@ mod tests {
     fn resume_with_cache_is_bit_identical_to_uncached() {
         let (s, phi) = hard_chain(36);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(4));
-        let (_, plain) = compiler.run_resumable(&phi, &s, None);
+        let (_, mut plain) = compiler.run_resumable(&phi, &s, None);
         let cache = SubformulaCache::new();
-        let (_, cached) = compiler.run_resumable(&phi, &s, Some(&cache));
-        let mut plain = plain.expect("truncated");
-        let mut cached = cached.expect("truncated");
+        let (_, mut cached) = compiler.run_resumable(&phi, &s, Some(&cache));
         for _ in 0..5 {
             let a = plain.resume(&s, ResumeBudget::steps(6), None);
             let b = cached.resume(&s, ResumeBudget::steps(6), Some(&cache));
@@ -1230,8 +1223,7 @@ mod tests {
     fn zero_budget_resume_returns_promptly_with_current_bounds() {
         let (s, phi) = hard_chain(40);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(2));
-        let (first, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (first, mut handle) = compiler.run_resumable(&phi, &s, None);
         let r = handle.resume(&s, ResumeBudget::steps(0), None);
         assert_eq!(r.steps, 0);
         assert!(!r.converged);
@@ -1246,8 +1238,7 @@ mod tests {
     fn generation_move_fails_closed() {
         let (mut s, phi) = hard_chain(30);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(2));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         // An in-place invalidation bumps the generation: the handle must not
         // serve bounds computed under the retired space state.
         s.invalidate();
@@ -1268,8 +1259,7 @@ mod tests {
     fn appends_do_not_poison_the_handle() {
         let (mut s, phi) = hard_chain(30);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-6).with_max_steps(2));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         // Append-only growth keeps the generation; the handle keeps working.
         let _ = s.add_bool("appended", 0.5);
         let r = handle.resume(&s, ResumeBudget::unlimited(), None);
@@ -1282,8 +1272,7 @@ mod tests {
         let (mut s, phi) = hard_chain(30);
         let first = *phi.vars().iter().next().expect("chain has variables");
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(5));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         // One clause extends an existing component, one is an independent
         // island over entirely fresh variables.
         let fresh = s.add_bool("fresh-0", 0.35);
@@ -1307,8 +1296,7 @@ mod tests {
     fn interleaved_deltas_and_slices_stay_sound() {
         let (mut s, phi) = hard_chain(24);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(3));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         let mut current = phi.clone();
         for i in 0..4usize {
             let vars: Vec<VarId> = current.vars().into_iter().collect();
@@ -1339,8 +1327,7 @@ mod tests {
         let (mut s, phi) = hard_chain(24);
         let first = *phi.vars().iter().next().expect("chain has variables");
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(3));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         s.invalidate();
         assert!(!handle.apply_delta(&s, &[Clause::from_bools(&[first])]));
         assert!(handle.is_poisoned());
@@ -1354,8 +1341,7 @@ mod tests {
     fn width_curve_records_capture_slices_and_deltas() {
         let (mut s, phi) = hard_chain(30);
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-9).with_max_steps(3));
-        let (_, handle) = compiler.run_resumable(&phi, &s, None);
-        let mut handle = handle.expect("truncated");
+        let (_, mut handle) = compiler.run_resumable(&phi, &s, None);
         assert_eq!(handle.width_curve().len(), 1, "capture records the first sample");
         let w0 = handle.width_curve()[0].1;
         assert!(w0 > 0.0);

@@ -464,8 +464,8 @@ pub fn confidence_resumable(
     };
     let compiler = ApproxCompiler::new(approx_options(error, origins, budget));
     let (r, handle) = compiler.run_resumable(lineage, space, cache);
-    let handle = handle.map(|inner| ResumableConfidence { inner, method: method.label() });
-    (dtree_result(r, method.label()), handle)
+    let handle = ResumableConfidence { inner: handle, method: method.label() };
+    (dtree_result(r, method.label()), Some(handle))
 }
 
 /// The error guarantee of the anytime d-tree compiler run for `method`:

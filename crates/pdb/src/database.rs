@@ -326,8 +326,8 @@ impl Database {
     /// and suspended [`crate::confidence::ResumableConfidence`] handles stay
     /// valid. This is what makes maintenance incremental: compute the
     /// per-answer [`events::LineageDelta`]s for the new rows and feed them to
-    /// [`crate::ConfidenceEngine::maintain_batch`] instead of re-evaluating
-    /// the query from scratch.
+    /// the `cluster` crate's `ClusterEngine::maintain_batch` instead of
+    /// re-evaluating the query from scratch.
     ///
     /// Returns the per-row variables (`None` for deterministic rows).
     ///

@@ -37,14 +37,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dtree::{CacheStats, SubformulaCache};
-use events::{Dnf, LineageDelta, ProbabilitySpace, VarOrigins};
+use events::{Dnf, ProbabilitySpace, VarOrigins};
 
 use crate::confidence::{
     confidence_resumable, confidence_with, ConfidenceBudget, ConfidenceMethod, ConfidenceResult,
     DegradationReason, ResumableConfidence,
 };
 use crate::fault::Fault;
-use crate::pool::ResumablePool;
 
 /// Pre-fetched observability handles for the engine's hot paths. Resolved
 /// once in [`ConfidenceEngine::with_obs`]; the default records nowhere. All
@@ -62,10 +61,6 @@ pub(crate) struct EngineObs {
     item_seconds: obs::Histogram,
     item_width: obs::Histogram,
     batch_seconds: obs::Histogram,
-    maintain_rounds: obs::Counter,
-    maintain_snapshots: obs::Counter,
-    maintain_refreshed: obs::Counter,
-    maintain_recompiled: obs::Counter,
 }
 
 impl EngineObs {
@@ -81,10 +76,6 @@ impl EngineObs {
             item_seconds: o.histogram("engine.item_seconds"),
             item_width: o.histogram("engine.item_width"),
             batch_seconds: o.histogram("engine.batch_seconds"),
-            maintain_rounds: o.counter("engine.maintain.rounds"),
-            maintain_snapshots: o.counter("engine.maintain.snapshots"),
-            maintain_refreshed: o.counter("engine.maintain.refreshed"),
-            maintain_recompiled: o.counter("engine.maintain.recompiled"),
         }
     }
 }
@@ -120,39 +111,6 @@ impl BatchResult {
     /// for multi-answer queries).
     pub fn total_compute(&self) -> Duration {
         self.results.iter().map(|r| r.elapsed).sum()
-    }
-}
-
-/// Result of one streaming-maintenance round
-/// ([`ConfidenceEngine::maintain_batch`]).
-#[derive(Debug, Clone)]
-pub struct MaintainResult {
-    /// Per-item results, in input order. Same soundness semantics as
-    /// [`crate::confidence::ConfidenceResult`]; for items served from a
-    /// suspended handle without new work, `elapsed` is zero.
-    pub results: Vec<ConfidenceResult>,
-    /// Items maintained **incrementally**: a pooled handle absorbed the
-    /// item's delta in place and was re-refined because its bounds left the
-    /// error guarantee.
-    pub refreshed: usize,
-    /// Items whose pooled handle stayed within the error guarantee after the
-    /// delta — served as a zero-work snapshot.
-    pub snapshots: usize,
-    /// Items compiled **from scratch**: no pooled handle (first sight,
-    /// evicted, or a Monte-Carlo method), or the handle failed closed under a
-    /// destructive edit or space invalidation.
-    pub recompiled: usize,
-    /// Wall-clock time for the whole round.
-    pub wall: Duration,
-    /// Sub-formula cache counters for this round (deltas; see
-    /// [`BatchResult::cache`]).
-    pub cache: CacheStats,
-}
-
-impl MaintainResult {
-    /// `true` when every item met its guarantee within the budget.
-    pub fn all_converged(&self) -> bool {
-        self.results.iter().all(|r| r.converged)
     }
 }
 
@@ -243,17 +201,17 @@ impl ConfidenceEngine {
 
     /// Attaches observability: batches and items record counts, outcomes,
     /// latencies, and interval widths into `o`'s registry (one `engine.item`
-    /// trace event per computed item, one `engine.batch`/`engine.maintain`
-    /// event per call), and every resumable handle the engine creates
-    /// inherits the d-tree slice instrumentation. Handles are write-only;
-    /// results are bit-identical with or without an attached registry.
+    /// trace event per computed item, one `engine.batch` event per batch),
+    /// and every resumable handle the engine creates inherits the d-tree
+    /// slice instrumentation. Handles are write-only; results are
+    /// bit-identical with or without an attached registry.
     pub fn with_obs(mut self, o: &obs::Obs) -> Self {
         self.obs = EngineObs::new(o);
         self
     }
 
     /// Attaches a fault-injection plan (see [`crate::fault`]). The batch
-    /// paths check the `"engine.item"` site once per item with the item's
+    /// path checks the `"engine.item"` site once per item with the item's
     /// **input index** as the decision token, so injected panics and errors
     /// are a pure function of `(plan seed, index)` — independent of thread
     /// scheduling — and same-seed replays degrade the same items. With the
@@ -318,8 +276,8 @@ impl ConfidenceEngine {
     }
 
     /// Records one computed item's outcome (no-op without an attached
-    /// registry). Called from the single per-item choke points, so batch,
-    /// maintenance, and cluster-scheduler traffic all land here.
+    /// registry). Called from the single per-item choke points, so batch and
+    /// cluster-scheduler traffic both land here.
     fn record_item(&self, index: usize, r: &ConfidenceResult) {
         self.obs.items.inc();
         if r.converged {
@@ -535,162 +493,6 @@ impl ConfidenceEngine {
         (r, handle)
     }
 
-    /// One round of **streaming confidence maintenance**: brings every item's
-    /// confidence up to date with its grown lineage, reusing the suspended
-    /// d-tree frontiers pooled in `pool` instead of recompiling from scratch.
-    ///
-    /// Inputs per item `i`:
-    ///
-    /// * `lineages[i]` — the item's **current** (post-append) lineage,
-    /// * `deltas[i]` — the clauses appended since the previous round
-    ///   (`None` or an empty delta means the lineage did not change). Obtain
-    ///   deltas from [`events::LineageArena::append_clauses`] or
-    ///   [`LineageDelta::between`]; they must describe exactly the growth the
-    ///   pooled handle has not seen yet.
-    ///
-    /// For the deterministic d-tree methods each item takes the cheapest
-    /// sound path, counted in the returned [`MaintainResult`]:
-    ///
-    /// 1. **snapshot** — the pooled handle absorbed the delta in place
-    ///    ([`ResumableConfidence::apply_delta`]) and its bounds still satisfy
-    ///    the error guarantee: report them with zero new work;
-    /// 2. **refreshed** — the delta pushed the bounds outside the guarantee:
-    ///    resume the handle under the engine's budget (only the touched leaf
-    ///    chain of the d-tree lost its refinement, everything else is
-    ///    retained);
-    /// 3. **recompiled** — no handle was pooled (first sight or evicted), or
-    ///    the handle failed closed (space invalidated in place / destructive
-    ///    edit): compile from scratch via
-    ///    [`ConfidenceEngine::compute_item_resumable`], pooling the new
-    ///    handle — open if the run truncated, settled if it converged — so
-    ///    the *next* round's delta finds a frontier to land in.
-    ///
-    /// The Monte-Carlo methods have no incremental story — their estimators
-    /// must resample under the grown formula — so every changed item
-    /// recompiles with the engine's per-item seed, keeping results
-    /// bit-identical to [`ConfidenceEngine::confidence_batch`] on the same
-    /// final lineages.
-    ///
-    /// The engine's `timeout` is one shared deadline for the round. Handles
-    /// stay pooled across rounds whether they converged or truncated — a
-    /// converged frontier is exactly what makes the *next* delta cheap. The
-    /// pool is keyed by item index: callers must keep one pool per
-    /// (answer set, method) pair.
-    pub fn maintain_batch<L: AsRef<Dnf>>(
-        &self,
-        lineages: &[L],
-        deltas: &[Option<LineageDelta>],
-        space: &ProbabilitySpace,
-        origins: Option<&VarOrigins>,
-        pool: &mut ResumablePool,
-    ) -> MaintainResult {
-        assert_eq!(lineages.len(), deltas.len(), "one delta slot per lineage");
-        let start = Instant::now();
-        let deadline = self.budget.timeout.map(|t| start + t);
-        let per_batch = if self.share_cache && self.shared_cache.is_none() {
-            Some(SubformulaCache::new())
-        } else {
-            None
-        };
-        let cache: Option<&SubformulaCache> = self.shared_cache.as_deref().or(per_batch.as_ref());
-        let cache_before = cache.map(SubformulaCache::stats).unwrap_or_default();
-
-        let mut results = Vec::with_capacity(lineages.len());
-        let (mut refreshed, mut snapshots, mut recompiled) = (0usize, 0usize, 0usize);
-        for (i, lineage) in lineages.iter().enumerate() {
-            // The whole per-item step runs behind the fault boundary: a panic
-            // (injected at the "engine.item" site or real) degrades this item
-            // to the vacuous interval instead of unwinding the round. A
-            // pooled handle taken before the panic is dropped — the next
-            // round recompiles the item from scratch, which is sound.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.fault
-                    .check_at("engine.item", i as u64)
-                    .unwrap_or_else(|e| panic!("injected engine fault: {e}"));
-                let mut handle = if self.method.is_deterministic() { pool.take(i) } else { None };
-                // Fail closed up front: a handle pinned to an invalidated
-                // space can neither absorb a delta nor resume — recompiling
-                // immediately avoids reporting its vacuous poisoned bounds.
-                if handle.as_ref().is_some_and(|h| !h.is_current(space)) {
-                    handle = None;
-                }
-                if let (Some(h), Some(delta)) = (handle.as_mut(), deltas[i].as_ref()) {
-                    if !delta.is_empty() && !h.apply_delta(space, delta) {
-                        handle = None; // failed closed → recompile below
-                    }
-                }
-                match handle {
-                    Some(mut h) => {
-                        // Pooled handles may predate this engine's registry
-                        // (the pool outlives engines); re-attach so their
-                        // slices land in the current registry. Never detach:
-                        // an engine without observability leaves the handle's
-                        // sink alone.
-                        if self.obs.obs.is_enabled() {
-                            h.attach_obs(&self.obs.obs);
-                        }
-                        let r = if h.is_converged() {
-                            snapshots += 1;
-                            h.snapshot_result()
-                        } else {
-                            let budget = ConfidenceBudget {
-                                timeout: deadline
-                                    .map(|d| d.saturating_duration_since(Instant::now())),
-                                max_work: self.budget.max_work,
-                            };
-                            refreshed += 1;
-                            h.resume(space, &budget, cache)
-                        };
-                        self.record_item(i, &r);
-                        pool.insert(i, h);
-                        r
-                    }
-                    None => {
-                        let (r, h) = self.compute_item_resumable(
-                            lineage.as_ref(),
-                            space,
-                            origins,
-                            i,
-                            deadline,
-                            cache,
-                        );
-                        recompiled += 1;
-                        if let Some(h) = h {
-                            pool.insert(i, h);
-                        }
-                        r
-                    }
-                }
-            }));
-            results.push(match attempt {
-                Ok(r) => r,
-                Err(_) => self.degrade_item(i, DegradationReason::WorkerPanic),
-            });
-        }
-        let wall = start.elapsed();
-        self.obs.maintain_rounds.inc();
-        self.obs.maintain_snapshots.add(snapshots as u64);
-        self.obs.maintain_refreshed.add(refreshed as u64);
-        self.obs.maintain_recompiled.add(recompiled as u64);
-        self.obs
-            .obs
-            .event("engine.maintain")
-            .u64("items", lineages.len() as u64)
-            .u64("snapshots", snapshots as u64)
-            .u64("refreshed", refreshed as u64)
-            .u64("recompiled", recompiled as u64)
-            .f64("seconds", wall.as_secs_f64())
-            .emit();
-        MaintainResult {
-            results,
-            refreshed,
-            snapshots,
-            recompiled,
-            wall,
-            cache: cache.map(|c| c.stats().since(&cache_before)).unwrap_or_default(),
-        }
-    }
-
     /// The per-item budget derived from the shared deadline, or (`Err`) the
     /// immediate result for items starting past the deadline.
     ///
@@ -777,21 +579,6 @@ pub fn dedup_lineages<L: AsRef<Dnf>>(
         }
     }
     (representative, work)
-}
-
-/// Convenience wrapper: one batched call with default engine settings
-/// (automatic parallelism, shared cache, entropy-seeded Monte-Carlo).
-pub fn confidence_batch<L: AsRef<Dnf> + Sync>(
-    lineages: &[L],
-    space: &ProbabilitySpace,
-    origins: Option<&VarOrigins>,
-    method: &ConfidenceMethod,
-    budget: &ConfidenceBudget,
-) -> Vec<ConfidenceResult> {
-    ConfidenceEngine::new(method.clone())
-        .with_budget(budget.clone())
-        .confidence_batch(lineages, space, origins)
-        .results
 }
 
 #[cfg(test)]
@@ -1076,131 +863,6 @@ mod tests {
             assert_eq!(item.upper.to_bits(), batch.results[i].upper.to_bits());
             let stats = item.stats.expect("d-tree items expose CompileStats");
             assert!(stats.work() > 0, "a non-trivial lineage must report work: {stats:?}");
-        }
-    }
-
-    /// Hard chain lineages plus a shared space for streaming-maintenance
-    /// tests: every lineage is a 2-literal chain over a sliding window, hard
-    /// enough that a small step budget truncates.
-    fn streaming_fixture() -> (ProbabilitySpace, Vec<events::VarId>, Vec<Dnf>) {
-        let mut s = ProbabilitySpace::new();
-        let vars: Vec<_> =
-            (0..34).map(|i| s.add_bool(format!("x{i}"), 0.15 + 0.02 * i as f64)).collect();
-        let lineages: Vec<Dnf> = (0..3)
-            .map(|k| {
-                Dnf::from_clauses(
-                    (0..22)
-                        .map(|i| events::Clause::from_bools(&[vars[i + k], vars[i + k + 1]]))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        (s, vars, lineages)
-    }
-
-    /// The incremental path must agree with from-scratch recompilation: after
-    /// appends, maintained bounds converge to the exact probability of the
-    /// *grown* formula, and the second round actually takes the
-    /// refresh/snapshot paths instead of recompiling.
-    #[test]
-    fn maintain_batch_tracks_grown_lineages_incrementally() {
-        let (mut s, _vars, mut lineages) = streaming_fixture();
-        let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact)
-            .with_budget(ConfidenceBudget { timeout: None, max_work: Some(4) });
-        let mut pool = ResumablePool::new(8);
-        // Round 0: first sight — everything compiles from scratch and the
-        // truncated frontiers land in the pool.
-        let none: Vec<Option<LineageDelta>> = vec![None; lineages.len()];
-        let r0 = engine.maintain_batch(&lineages, &none, &s, None, &mut pool);
-        assert_eq!(r0.recompiled, lineages.len());
-        assert_eq!(r0.refreshed + r0.snapshots, 0);
-        assert_eq!(pool.len(), lineages.len(), "truncated handles are pooled");
-        // Round 1: append one fresh independent clause per item (new streamed
-        // tuples) and one clause over existing variables.
-        let mut deltas = Vec::new();
-        for (i, lineage) in lineages.iter_mut().enumerate() {
-            let fresh = s.add_bool(format!("t{i}"), 0.35);
-            let old = lineage
-                .clauses()
-                .first()
-                .and_then(|c| c.vars().next())
-                .expect("chain lineage has variables");
-            let grown = lineage.or(&Dnf::from_clauses(vec![
-                events::Clause::from_bools(&[fresh]),
-                events::Clause::from_bools(&[old, fresh]),
-            ]));
-            let delta = LineageDelta::between(lineage, &grown).expect("append-only growth");
-            assert!(!delta.is_empty());
-            deltas.push(Some(delta));
-            *lineage = grown;
-        }
-        // Unlimited budget for the maintenance round: converge everything.
-        let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact);
-        let r1 = engine.maintain_batch(&lineages, &deltas, &s, None, &mut pool);
-        assert_eq!(r1.recompiled, 0, "pooled handles must absorb the deltas: {r1:?}");
-        assert_eq!(r1.refreshed, lineages.len());
-        assert!(r1.all_converged());
-        for (lineage, got) in lineages.iter().zip(&r1.results) {
-            let exact = lineage.exact_probability_enumeration(&s);
-            assert!(
-                (got.estimate - exact).abs() < 1e-9,
-                "maintained {} vs exact {exact}",
-                got.estimate
-            );
-        }
-        // Round 2: nothing changed — every item is served as a snapshot.
-        let none: Vec<Option<LineageDelta>> = vec![None; lineages.len()];
-        let r2 = engine.maintain_batch(&lineages, &none, &s, None, &mut pool);
-        assert_eq!((r2.recompiled, r2.refreshed), (0, 0));
-        assert_eq!(r2.snapshots, lineages.len());
-        for (a, b) in r1.results.iter().zip(&r2.results) {
-            assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-            assert_eq!(b.elapsed, Duration::ZERO);
-        }
-    }
-
-    /// Space invalidation between rounds poisons the pooled handles; the next
-    /// round must fail closed into scratch recompilation and still be right.
-    #[test]
-    fn maintain_batch_fails_closed_on_invalidation() {
-        let (mut s, _vars, lineages) = streaming_fixture();
-        let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact)
-            .with_budget(ConfidenceBudget { timeout: None, max_work: Some(4) });
-        let mut pool = ResumablePool::new(8);
-        let none: Vec<Option<LineageDelta>> = vec![None; lineages.len()];
-        engine.maintain_batch(&lineages, &none, &s, None, &mut pool);
-        assert!(!pool.is_empty());
-        s.invalidate(); // in-place change: every pooled frontier is stale
-        let empty_delta = LineageDelta::between(&lineages[0], &lineages[0]).unwrap();
-        assert!(empty_delta.is_empty());
-        let deltas: Vec<Option<LineageDelta>> =
-            lineages.iter().map(|_| Some(empty_delta.clone())).collect();
-        let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeExact);
-        let r = engine.maintain_batch(&lineages, &deltas, &s, None, &mut pool);
-        assert_eq!(r.recompiled, lineages.len(), "poisoned handles must recompile: {r:?}");
-        assert!(r.all_converged());
-        for (lineage, got) in lineages.iter().zip(&r.results) {
-            let exact = lineage.exact_probability_enumeration(&s);
-            assert!((got.estimate - exact).abs() < 1e-9);
-        }
-    }
-
-    /// Monte-Carlo methods have no incremental path: maintenance recompiles
-    /// them with the engine's per-item seeds, bit-identical to a plain batch
-    /// over the same final lineages.
-    #[test]
-    fn maintain_batch_monte_carlo_matches_plain_batch_bitwise() {
-        let (db, lineages) = answers_db();
-        let method = ConfidenceMethod::KarpLuby { epsilon: 0.1, delta: 0.01 };
-        let engine = ConfidenceEngine::new(method).with_seed(0xbeef).with_threads(1);
-        let mut pool = ResumablePool::new(8);
-        let none: Vec<Option<LineageDelta>> = vec![None; lineages.len()];
-        let maintained = engine.maintain_batch(&lineages, &none, db.space(), None, &mut pool);
-        assert_eq!(maintained.recompiled, lineages.len());
-        assert!(pool.is_empty(), "Monte-Carlo items leave no resumable handles");
-        let batch = engine.confidence_batch(&lineages, db.space(), None);
-        for (a, b) in maintained.results.iter().zip(&batch.results) {
-            assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         }
     }
 

@@ -27,9 +27,9 @@
 //!   [`ConfidenceEngine::with_shared_cache`]) and one batch-wide deadline,
 //! * [`pool`] — streaming maintenance: [`Database::append_tuple_independent_rows`]
 //!   grows tables in place, [`events::LineageDelta`]s describe the per-answer
-//!   lineage growth, and [`ConfidenceEngine::maintain_batch`] applies them to
-//!   a [`ResumablePool`] of suspended d-tree frontiers so each insert round
-//!   re-refines only what the new clauses actually touched,
+//!   lineage growth, and the `cluster` crate's `ClusterEngine::maintain_batch`
+//!   applies them to a [`ResumablePool`] of suspended d-tree frontiers so each
+//!   insert round re-refines only what the new clauses actually touched,
 //! * [`fault`] — deterministic failpoints ([`fault::FaultPlan`]) threaded
 //!   through every fallible layer, plus the [`fault::RetryPolicy`] (bounded
 //!   exponential backoff with deterministic jitter) that absorbs transient
@@ -60,7 +60,7 @@ mod relation;
 mod value;
 
 pub use database::{Database, TupleWriter};
-pub use engine::{dedup_lineages, BatchResult, ConfidenceEngine, MaintainResult};
+pub use engine::{dedup_lineages, BatchResult, ConfidenceEngine};
 pub use pool::ResumablePool;
 pub use query::{ConjunctiveQuery, IneqOp, Operand, Predicate, QueryAnswer, SubGoal, Term};
 pub use relation::{AnnotatedTuple, Relation, Schema};

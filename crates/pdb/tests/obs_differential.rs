@@ -123,11 +123,8 @@ proptest! {
             lineages.iter().flat_map(|l| l.clauses().iter().cloned()),
         );
         let compiler = ApproxCompiler::new(ApproxOptions::absolute(0.0).with_max_steps(1));
-        let (_, plain) = compiler.run_resumable(&lineage, &space, None);
-        let (_, observed) = compiler.run_resumable(&lineage, &space, None);
-        let (Some(mut plain), Some(mut observed)) = (plain, observed) else {
-            return Ok(());
-        };
+        let (_, mut plain) = compiler.run_resumable(&lineage, &space, None);
+        let (_, mut observed) = compiler.run_resumable(&lineage, &space, None);
         let obs = Obs::enabled();
         observed.attach_obs(&obs);
         for _ in 0..32 {

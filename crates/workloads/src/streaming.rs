@@ -4,11 +4,10 @@
 //!
 //! The batch workloads in this crate ([`crate::tpch`], [`crate::mixes`])
 //! produce fixed answer relations; delta-aware maintenance
-//! (`pdb::ConfidenceEngine::maintain_batch`, `cluster::ClusterEngine::
-//! maintain_batch`) additionally needs a *stream*: each round appends newly
-//! arrived tuples to a subset of the answers' lineages, and the harness must
-//! hand the engine exactly the clauses each pooled d-tree frontier has not
-//! seen yet. [`StreamingWorkload`] models that: every appended clause pairs
+//! (`cluster::ClusterEngine::maintain_batch`) additionally needs a *stream*:
+//! each round appends newly arrived tuples to a subset of the answers'
+//! lineages, and the harness must hand the engine exactly the clauses each
+//! pooled d-tree frontier has not seen yet. [`StreamingWorkload`] models that: every appended clause pairs
 //! one fresh variable (the streamed tuple) with existing variables of the
 //! same answer (the join partners it matched), so deltas genuinely dirty the
 //! suspended decompositions instead of dangling as independent islands.

@@ -6,9 +6,7 @@
 use std::time::{Duration, Instant};
 
 use dtree_approx::events::Dnf;
-use dtree_approx::pdb::confidence::{
-    confidence, confidence_with, ConfidenceBudget, ConfidenceMethod,
-};
+use dtree_approx::pdb::confidence::{confidence_with, ConfidenceBudget, ConfidenceMethod};
 use dtree_approx::pdb::{ConfidenceEngine, Database};
 use dtree_approx::workloads::tpch::{TpchConfig, TpchDatabase, TpchQuery};
 use dtree_approx::workloads::{karate_club, SocialNetworkConfig};
@@ -170,26 +168,5 @@ fn batch_deadline_is_respected_on_hard_tpch_lineage() {
         // Bounds must stay sound even when truncated.
         assert!(r.lower <= r.upper + 1e-12);
         assert!((0.0..=1.0).contains(&r.lower) && (0.0..=1.0).contains(&r.upper));
-    }
-}
-
-#[test]
-fn convenience_batch_function_matches_engine() {
-    let net = karate_club(&SocialNetworkConfig::karate_default());
-    let (hub, _) = net.separation_pair();
-    let lineages: Vec<Dnf> =
-        net.graph.within2_not1_answers(hub).into_iter().map(|(_, l)| l).collect();
-    let method = ConfidenceMethod::DTreeExact;
-    let budget = ConfidenceBudget::default();
-    let via_fn = dtree_approx::pdb::engine::confidence_batch(
-        &lineages,
-        net.db.space(),
-        Some(net.db.origins()),
-        &method,
-        &budget,
-    );
-    for (r, lineage) in via_fn.iter().zip(&lineages) {
-        let want = confidence(lineage, net.db.space(), Some(net.db.origins()), &method, &budget);
-        assert_eq!(r.estimate.to_bits(), want.estimate.to_bits());
     }
 }

@@ -77,11 +77,10 @@ proptest! {
             let cache = SubformulaCache::new();
             let cache = cached.then_some(&cache);
             let opts = ApproxOptions::absolute(0.0).with_max_steps(k);
-            let (_, handle) = ApproxCompiler::new(opts).run_resumable(&dnf, &space, cache);
             // Anytime runs always hand back a frontier — open if truncated,
             // settled if already converged at `k` steps (the resume is then a
             // no-op returning the held bounds).
-            let mut h = handle.expect("anytime runs always hand back their frontier");
+            let (_, mut h) = ApproxCompiler::new(opts).run_resumable(&dnf, &space, cache);
             let budget = ResumeBudget::steps(total - k);
             let r = h.resume(&space, budget, cache);
             let width = r.upper - r.lower;
@@ -102,7 +101,6 @@ proptest! {
         for opts in [ApproxOptions::absolute(1e-3), ApproxOptions::relative(1e-2)] {
             let expected = approx_reference(&dnf, &space, &opts);
             let (got, handle) = ApproxCompiler::new(opts).run_resumable(&dnf, &space, None);
-            let handle = handle.expect("anytime runs always hand back their frontier");
             prop_assert!(handle.is_converged(), "uninterrupted run must settle its frontier");
             prop_assert_eq!(handle.bounds().lower.to_bits(), expected.lower.to_bits());
             prop_assert_eq!(handle.bounds().upper.to_bits(), expected.upper.to_bits());
