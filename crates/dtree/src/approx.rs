@@ -638,8 +638,9 @@ impl Dfs<'_> {
             return Outcome::Finished(point);
         }
         // Small leaves: fold their complete sub-d-tree on the fly. This keeps
-        // the ε slack for the large leaves and avoids paying the quadratic
-        // bucket-bound heuristic on sub-DNFs that are cheaper to just solve.
+        // the ε slack for the large leaves and skips the bucket-bound
+        // heuristic (a sort plus first-fit over the atoms) on sub-DNFs that
+        // are cheaper to just solve.
         if !view.num_vars_exceeds(self.arena, EXACT_LEAF_VARS) {
             self.stats.exact_leaves += 1;
             let point = Bounds::point(self.memo_exact(&view));

@@ -113,7 +113,9 @@ impl Bounds {
 ///
 /// Clauses are considered in descending order of marginal probability, the
 /// refinement the paper reports to improve the lower bound (Example 5.2).
-/// Runs in time quadratic in the number of clauses.
+/// Runs in `O(Σ|c| · ⌈b/64⌉)` time in the worst case, where `Σ|c|` is the
+/// number of atoms and `b` the number of buckets, plus one sort of the atoms
+/// and one of the clauses.
 pub fn dnf_bounds(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
     let (arena, root) = LineageArena::from_dnf(dnf);
     dnf_bounds_view(&arena, &root, space)
@@ -121,48 +123,12 @@ pub fn dnf_bounds(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
 
 /// [`dnf_bounds`] for an arena view, without materialising the sub-formula.
 pub fn dnf_bounds_view(arena: &LineageArena, view: &DnfView, space: &ProbabilitySpace) -> Bounds {
-    let bounds = bucket_bounds(arena, view, space, true);
-    match independent_or_upper_bound(arena, view, space) {
-        Some(fkg_upper) => Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper)),
-        None => bounds,
+    match bucket_bounds(arena, view, space, true) {
+        (bounds, Some(fkg_upper)) => {
+            Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper))
+        }
+        (bounds, None) => bounds,
     }
-}
-
-/// The independent-union upper bound for **monotone** DNFs:
-/// `P(Φ) ≤ 1 - Π_clauses (1 - P(clause))`.
-///
-/// A DNF is monotone here when every variable occurs with a single domain
-/// value throughout the formula (e.g. purely positive Boolean lineage from
-/// tuple-independent tables). Each clause is then a monotone increasing
-/// function of the independent atomic events, so by the Harris/FKG
-/// inequality the clause negations are positively associated:
-/// `P(⋀ ¬cᵢ) ≥ Π P(¬cᵢ)`, i.e. `P(⋁ cᵢ) ≤ 1 - Π (1 - P(cᵢ))`.
-///
-/// Returns `None` when the DNF is not monotone in this sense (some variable
-/// occurs with two different values, as can happen with
-/// block-independent-disjoint lineage), in which case the bound would be
-/// unsound and must not be used.
-pub(crate) fn independent_or_upper_bound(
-    arena: &LineageArena,
-    view: &DnfView,
-    space: &ProbabilitySpace,
-) -> Option<f64> {
-    // Monotonicity check: collect every atom, sort by variable, and scan for
-    // a variable bound to two different values (one flat sort instead of a
-    // tree-map probe per atom).
-    let mut atoms: Vec<(VarId, u32)> = Vec::new();
-    for clause in view.atoms(arena) {
-        atoms.extend(clause.map(|a| (a.var, a.value)));
-    }
-    atoms.sort_unstable();
-    if atoms.windows(2).any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1) {
-        return None;
-    }
-    let mut complement = 1.0;
-    for i in 0..view.len() {
-        complement *= 1.0 - view.clause_probability(arena, space, i);
-    }
-    Some(1.0 - complement)
 }
 
 /// The bucket heuristic exactly as written in Figure 3 of the paper, without
@@ -173,87 +139,113 @@ pub(crate) fn independent_or_upper_bound(
 /// can tighten both bounds substantially).
 pub fn dnf_bounds_sorted(dnf: &Dnf, space: &ProbabilitySpace, sort_descending: bool) -> Bounds {
     let (arena, view) = LineageArena::from_dnf(dnf);
-    bucket_bounds(&arena, &view, space, sort_descending)
+    bucket_bounds(&arena, &view, space, sort_descending).0
 }
 
 /// The bucket heuristic of Figure 3 over `view`'s clauses, taken in
-/// descending-probability order or in their canonical order.
+/// descending-probability order or in their canonical order, together with
+/// the independent-union upper bound `1 - Π_clauses (1 - P(clause))` when
+/// the view is **monotone** (`None` otherwise).
+///
+/// A DNF is monotone here when every variable occurs with a single domain
+/// value throughout the formula (e.g. purely positive Boolean lineage from
+/// tuple-independent tables). Each clause is then a monotone increasing
+/// function of the independent atomic events, so by the Harris/FKG
+/// inequality the clause negations are positively associated:
+/// `P(⋀ ¬cᵢ) ≥ Π P(¬cᵢ)`, i.e. `P(⋁ cᵢ) ≤ 1 - Π (1 - P(cᵢ))`. When some
+/// variable occurs with two different values (as can happen with
+/// block-independent-disjoint lineage) the bound would be unsound.
+///
+/// One sort of the view's `(variable, value)` atoms both decides
+/// monotonicity and gives the variables dense local ids. First-fit then
+/// keeps, per variable, a bitset of the buckets holding it: the first bucket
+/// a clause is independent of is the first zero bit of the OR of its
+/// variables' bitsets. Placement, the probability recurrence and the fold
+/// order are those of the textbook loop (see `reference::dnf_bounds_reference`),
+/// so the bounds are bit-identical to it.
 fn bucket_bounds(
     arena: &LineageArena,
     view: &DnfView,
     space: &ProbabilitySpace,
     sort_descending: bool,
-) -> Bounds {
-    /// Bucket variables as a sorted flat vector: clause atoms arrive sorted
-    /// by variable, so the disjointness test is a two-pointer merge and the
-    /// insertion a sorted merge — no tree sets on the hot path. First-fit
-    /// placement and the probability recurrence are unchanged, so the
-    /// resulting bounds are bit-identical to the map-based implementation.
-    struct Bucket {
-        vars: Vec<VarId>,
-        prob: f64,
-    }
-    fn disjoint_sorted(a: &[VarId], b: &[VarId]) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
-    }
-    fn merge_sorted(dst: &mut Vec<VarId>, add: &[VarId]) {
-        let mut merged = Vec::with_capacity(dst.len() + add.len());
-        let (mut i, mut j) = (0, 0);
-        while i < dst.len() && j < add.len() {
-            if dst[i] <= add[j] {
-                merged.push(dst[i]);
-                i += 1;
-            } else {
-                merged.push(add[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&dst[i..]);
-        merged.extend_from_slice(&add[j..]);
-        *dst = merged;
-    }
+) -> (Bounds, Option<f64>) {
     if view.is_empty() {
-        return Bounds::point(0.0);
+        return (Bounds::point(0.0), None);
     }
     if view.is_tautology(arena) {
-        return Bounds::point(1.0);
+        return (Bounds::point(1.0), None);
     }
-    let order: Vec<usize> = if sort_descending {
-        view.clauses_by_probability_desc(arena, space).into_iter().map(|(i, _)| i).collect()
-    } else {
-        (0..view.len()).collect()
-    };
-    let mut buckets: Vec<Bucket> = Vec::new();
-    let mut cvars: Vec<VarId> = Vec::new();
-    for i in order {
-        cvars.clear();
-        cvars.extend(view.clause(arena, i).map(|a| a.var));
-        let p = view.clause_probability(arena, space, i);
-        // First-fit: place the clause into the first bucket it is independent
-        // of (no shared variable).
-        let slot = buckets.iter().position(|b| disjoint_sorted(&b.vars, &cvars));
-        match slot {
-            Some(idx) => {
-                let b = &mut buckets[idx];
-                merge_sorted(&mut b.vars, &cvars);
-                b.prob = 1.0 - (1.0 - b.prob) * (1.0 - p);
-            }
-            None => {
-                buckets.push(Bucket { vars: cvars.clone(), prob: p });
-            }
+    // Clause `i`'s atoms are `local[starts[i]..starts[i + 1]]`, as dense
+    // local variable ids once the sorted pass below has filled them in.
+    let mut starts: Vec<usize> = Vec::with_capacity(view.len() + 1);
+    let mut atoms: Vec<(VarId, u32, u32)> = Vec::new();
+    for clause in view.atoms(arena) {
+        starts.push(atoms.len());
+        for a in clause {
+            atoms.push((a.var, a.value, atoms.len() as u32));
         }
     }
-    let lower = buckets.iter().map(|b| b.prob).fold(0.0f64, f64::max);
-    let upper: f64 = buckets.iter().map(|b| b.prob).sum();
-    Bounds::new(lower, upper.min(1.0))
+    starts.push(atoms.len());
+    atoms.sort_unstable();
+    let mut local: Vec<u32> = vec![0; atoms.len()];
+    let mut monotone = true;
+    let mut num_vars = 0u32;
+    for (k, &(var, value, at)) in atoms.iter().enumerate() {
+        if k > 0 && atoms[k - 1].0 == var {
+            monotone &= atoms[k - 1].1 == value;
+        } else {
+            num_vars += 1;
+        }
+        local[at as usize] = num_vars - 1;
+    }
+    let num_vars = num_vars as usize;
+
+    let order: Vec<(usize, f64)> = if sort_descending {
+        view.clauses_by_probability_desc(arena, space)
+    } else {
+        (0..view.len()).map(|i| (i, view.clause_probability(arena, space, i))).collect()
+    };
+    let fkg_upper = monotone.then(|| {
+        let mut by_clause = vec![0.0; view.len()];
+        for &(i, p) in &order {
+            by_clause[i] = p;
+        }
+        1.0 - by_clause.iter().fold(1.0, |complement, p| complement * (1.0 - p))
+    });
+
+    // `occupied[w * num_vars + v]` holds bit `b % 64` iff bucket
+    // `b = 64 * w + bit` contains local variable `v`; a bucket itself keeps
+    // only its probability.
+    let mut occupied: Vec<u64> = Vec::new();
+    let mut buckets: Vec<f64> = Vec::new();
+    for (i, p) in order {
+        let vars = &local[starts[i]..starts[i + 1]];
+        // First-fit: the first bucket the clause shares no variable with;
+        // past the last bucket the first zero bit is `buckets.len()`.
+        let slot = occupied
+            .chunks_exact(num_vars)
+            .enumerate()
+            .find_map(|(w, row)| {
+                let taken = vars.iter().fold(0u64, |acc, &v| acc | row[v as usize]);
+                (taken != u64::MAX).then(|| 64 * w + taken.trailing_ones() as usize)
+            })
+            .unwrap_or(buckets.len());
+        if slot == buckets.len() {
+            if slot % 64 == 0 {
+                occupied.resize(occupied.len() + num_vars, 0);
+            }
+            buckets.push(p);
+        } else {
+            buckets[slot] = 1.0 - (1.0 - buckets[slot]) * (1.0 - p);
+        }
+        let row = &mut occupied[(slot / 64) * num_vars..][..num_vars];
+        for &v in vars {
+            row[v as usize] |= 1 << (slot % 64);
+        }
+    }
+    let lower = buckets.iter().copied().fold(0.0f64, f64::max);
+    let upper: f64 = buckets.iter().sum();
+    (Bounds::new(lower, upper.min(1.0)), fkg_upper)
 }
 
 #[cfg(test)]
@@ -419,7 +411,7 @@ mod tests {
         let fig3 = dnf_bounds_sorted(&phi, &s, true);
         let improved = dnf_bounds(&phi, &s);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let fkg = independent_or_upper_bound(&arena, &view, &s).expect("monotone DNF");
+        let fkg = bucket_bounds(&arena, &view, &s, true).1.expect("monotone DNF");
         assert!(exact <= fkg + 1e-12, "FKG bound {fkg} below exact {exact}");
         assert!(improved.contains(exact));
         assert!(fig3.contains(exact));
@@ -443,7 +435,7 @@ mod tests {
             Clause::from_atoms([Atom::new(x, 1), Atom::new(y, 1)]),
         ]);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        assert_eq!(independent_or_upper_bound(&arena, &view, &s), None);
+        assert_eq!(bucket_bounds(&arena, &view, &s, true).1, None);
         let exact = phi.exact_probability_enumeration(&s);
         assert!(dnf_bounds(&phi, &s).contains(exact));
     }

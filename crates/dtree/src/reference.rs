@@ -27,7 +27,7 @@ use events::{
 };
 
 use crate::approx::{ApproxOptions, ApproxResult};
-use crate::bounds::{independent_or_upper_bound, Bounds};
+use crate::bounds::Bounds;
 use crate::compile::CompileOptions;
 use crate::exact::ExactResult;
 use crate::order::VarOrder;
@@ -81,10 +81,34 @@ pub fn dnf_bounds_reference(dnf: &Dnf, space: &ProbabilitySpace) -> Bounds {
         dnf.clauses_by_probability_desc(space).into_iter().map(|(i, _)| i).collect();
     let mut bounds = bucket_bounds_reference(dnf, space, &order);
     let (arena, view) = LineageArena::from_dnf(dnf);
-    if let Some(fkg_upper) = independent_or_upper_bound(&arena, &view, space) {
+    if let Some(fkg_upper) = independent_or_upper_bound_reference(&arena, &view, space) {
         bounds = Bounds::new(bounds.lower.min(fkg_upper), bounds.upper.min(fkg_upper));
     }
     bounds
+}
+
+/// The pre-bitset monotone-DNF independent-union upper bound (one flat sort
+/// for the monotonicity check, clause probabilities recomputed), kept
+/// verbatim so the production bounds are checked against an independent
+/// copy.
+fn independent_or_upper_bound_reference(
+    arena: &LineageArena,
+    view: &events::DnfView,
+    space: &ProbabilitySpace,
+) -> Option<f64> {
+    let mut atoms: Vec<(VarId, u32)> = Vec::new();
+    for clause in view.atoms(arena) {
+        atoms.extend(clause.map(|a| (a.var, a.value)));
+    }
+    atoms.sort_unstable();
+    if atoms.windows(2).any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1) {
+        return None;
+    }
+    let mut complement = 1.0;
+    for i in 0..view.len() {
+        complement *= 1.0 - view.clause_probability(arena, space, i);
+    }
+    Some(1.0 - complement)
 }
 
 fn bucket_bounds_reference(dnf: &Dnf, space: &ProbabilitySpace, order: &[usize]) -> Bounds {

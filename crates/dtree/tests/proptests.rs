@@ -1,7 +1,11 @@
 //! Property-based tests for the d-tree compiler and approximation algorithm.
 
+use std::collections::BTreeSet;
+
+use dtree::reference::dnf_bounds_reference;
 use dtree::{
-    compile, dnf_bounds, exact_probability, ApproxCompiler, ApproxOptions, CompileOptions,
+    compile, dnf_bounds, dnf_bounds_sorted, exact_probability, ApproxCompiler, ApproxOptions,
+    Bounds, CompileOptions,
 };
 use events::{Atom, Clause, Dnf, ProbabilitySpace, VarId};
 use proptest::prelude::*;
@@ -117,5 +121,112 @@ proptest! {
             .run(&dnf, &space);
         let p_ref = dnf.exact_probability_enumeration(&space);
         prop_assert!(r.lower <= p_ref + 1e-9 && p_ref <= r.upper + 1e-9);
+    }
+}
+
+/// Strategy producing DNFs too wide for enumeration but built to need more
+/// than 64 first-fit buckets: one hub variable shared by 100–160 clauses
+/// (pairwise dependent, so each takes its own bucket), plus a product of two
+/// variable groups, a chain, and a few random clauses whose negative
+/// literals sometimes make the DNF non-monotone.
+fn arb_wide_space_and_dnf() -> impl Strategy<Value = (ProbabilitySpace, Dnf)> {
+    (100usize..=160, 1usize..=6, 1usize..=6, 1usize..=20).prop_flat_map(|(hub, m, k, chain)| {
+        let nvars = 1 + hub + m + k + chain + 1;
+        let probs = prop::collection::vec(0.05f64..0.95, nvars);
+        let hub_extras = prop::collection::vec((0..nvars, prop::bool::ANY), hub);
+        let random = prop::collection::vec(
+            prop::collection::vec((0..nvars, 0..4usize), 1..=4usize),
+            0..=6usize,
+        );
+        (probs, hub_extras, random).prop_map(move |(probs, hub_extras, random)| {
+            let mut space = ProbabilitySpace::new();
+            let vars: Vec<VarId> = probs
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| space.add_bool(format!("x{i}"), p))
+                .collect();
+            let mut clauses = Vec::new();
+            // Hub clauses `h ∧ yᵢ`, sometimes with one more variable.
+            for (i, (extra, with_extra)) in hub_extras.into_iter().enumerate() {
+                let mut atoms = vec![vars[0], vars[1 + i]];
+                if with_extra {
+                    atoms.push(vars[extra]);
+                }
+                clauses.push(Clause::from_bools(&atoms));
+            }
+            // The product (a₁ ∨ … ∨ a_m) ⊙ (b₁ ∨ … ∨ b_k).
+            let (a0, b0) = (1 + hub, 1 + hub + m);
+            for a in a0..a0 + m {
+                for b in b0..b0 + k {
+                    clauses.push(Clause::from_bools(&[vars[a], vars[b]]));
+                }
+            }
+            // The chain x₁x₂ ∨ x₂x₃ ∨ ….
+            let c0 = 1 + hub + m + k;
+            for c in c0..c0 + chain {
+                clauses.push(Clause::from_bools(&[vars[c], vars[c + 1]]));
+            }
+            // Random clauses; a quarter of their literals are negative.
+            for spec in random {
+                clauses.push(Clause::from_atoms(spec.into_iter().map(|(v, polarity)| {
+                    if polarity == 0 {
+                        Atom::neg(vars[v])
+                    } else {
+                        Atom::pos(vars[v])
+                    }
+                })));
+            }
+            (space, Dnf::from_clauses(clauses))
+        })
+    })
+}
+
+/// Figure 3's first-fit over `dnf`'s clauses in `order`, with the buckets'
+/// variables kept in tree sets.
+fn first_fit_oracle(dnf: &Dnf, space: &ProbabilitySpace, order: &[usize]) -> Bounds {
+    let mut buckets: Vec<(BTreeSet<VarId>, f64)> = Vec::new();
+    for &i in order {
+        let clause = &dnf.clauses()[i];
+        let p = clause.probability(space);
+        match buckets.iter_mut().find(|(vars, _)| clause.vars().all(|v| !vars.contains(&v))) {
+            Some((vars, prob)) => {
+                vars.extend(clause.vars());
+                *prob = 1.0 - (1.0 - *prob) * (1.0 - p);
+            }
+            None => buckets.push((clause.vars().collect(), p)),
+        }
+    }
+    let lower = buckets.iter().map(|b| b.1).fold(0.0f64, f64::max);
+    let upper: f64 = buckets.iter().map(|b| b.1).sum();
+    Bounds::new(lower, upper.min(1.0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The bitset first-fit of `dnf_bounds` is bit-identical to the
+    /// tree-set reference, on both ends, including past 64 buckets.
+    #[test]
+    fn bucket_bounds_bit_identical_to_reference((space, dnf) in arb_wide_space_and_dnf()) {
+        let (fast, slow) = (dnf_bounds(&dnf, &space), dnf_bounds_reference(&dnf, &space));
+        prop_assert_eq!(fast.lower.to_bits(), slow.lower.to_bits());
+        prop_assert_eq!(fast.upper.to_bits(), slow.upper.to_bits());
+    }
+
+    /// `dnf_bounds_sorted` in canonical and in descending-probability order
+    /// equals a textbook first-fit, bit for bit.
+    #[test]
+    fn bucket_bounds_sorted_bit_identical_to_first_fit(
+        (space, dnf) in arb_wide_space_and_dnf(),
+    ) {
+        let canonical: Vec<usize> = (0..dnf.len()).collect();
+        let descending: Vec<usize> =
+            dnf.clauses_by_probability_desc(&space).into_iter().map(|(i, _)| i).collect();
+        for (sort_descending, order) in [(false, canonical), (true, descending)] {
+            let fast = dnf_bounds_sorted(&dnf, &space, sort_descending);
+            let slow = first_fit_oracle(&dnf, &space, &order);
+            prop_assert_eq!(fast.lower.to_bits(), slow.lower.to_bits());
+            prop_assert_eq!(fast.upper.to_bits(), slow.upper.to_bits());
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! factorization (the independent-and decomposition of column-aligned DNFs).
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
 
 use crate::{Clause, VarId};
@@ -272,9 +272,11 @@ impl VarOrigins {
 /// the clause set equals the cartesian product of its projections onto each
 /// `Gi`. This function:
 ///
-/// 1. groups origins that must stay together (pairwise product test),
+/// 1. groups origins that must stay together: `g` and `h` share a factor
+///    when the clauses' distinct `(π_g, π_h)` projection pairs are fewer
+///    than `|π_g(Φ)| · |π_h(Φ)|`,
 /// 2. verifies the candidate factorization by checking
-///    `|Φ| = Π |π_{Gi}(Φ)|` and membership of every recombined clause,
+///    `|Φ| = Π |π_{Gi}(Φ)|` and that `Φ` holds no duplicate clause,
 /// 3. returns the projected factor DNFs (as clause vectors) on success.
 ///
 /// Returns `None` when no factorization into ≥ 2 factors exists (or cannot be
@@ -284,9 +286,18 @@ pub fn product_factorization(clauses: &[Clause], origins: &VarOrigins) -> Option
 }
 
 /// Generic form of [`product_factorization`]: `n` clauses, the `i`-th
-/// yielding its (sorted) atoms through `atoms_of`. Shared by the owned
-/// [`crate::Dnf`] path and the arena [`crate::DnfView`] path so both produce
-/// the same factors in the same order.
+/// yielding its sorted, duplicate-free atoms (as every [`Clause`] holds them)
+/// through `atoms_of`. Shared by the owned [`crate::Dnf`] path and the arena
+/// [`crate::DnfView`] path so both produce the same factors in the same
+/// order: factors ordered as [`UnionFind::groups`] orders their origin
+/// groups, each factor's clauses in ascending [`Clause`] order.
+///
+/// Each clause's atoms are tagged with their origin group once, into one
+/// flat buffer ordered by `(group, atom)`, so a clause's projection onto a
+/// group is a contiguous slice. Projections are counted by exact slice
+/// equality in hash maps and `Clause`s are built only for the distinct
+/// projections of each factor: allocations scale with the number of groups
+/// and distinct factor clauses, not with `n`.
 pub fn product_factorization_by<F, I>(
     n: usize,
     atoms_of: F,
@@ -301,62 +312,89 @@ where
     }
     // Gate pass: every variable must have a known origin, and at least two
     // distinct groups must occur. The overwhelmingly common negative case
-    // (single-relation lineage) is decided with two registers — no set is
-    // built unless a second group actually shows up.
+    // (single-relation lineage) is decided with one register — nothing is
+    // allocated unless a second group actually shows up. The groups present
+    // are kept ascending, and a group is named by its index in them below.
     let mut first_group: Option<u32> = None;
-    let mut multi_group = false;
+    let mut all_groups: Vec<u32> = Vec::new();
     for i in 0..n {
         for a in atoms_of(i) {
             let g = origins.get(a.var)?;
             match first_group {
                 None => first_group = Some(g),
-                Some(f) if f != g => multi_group = true,
+                Some(f) if f != g => {
+                    if let Err(pos) = all_groups.binary_search(&g) {
+                        all_groups.insert(pos, g);
+                    }
+                }
                 Some(_) => {}
             }
         }
     }
-    if !multi_group {
+    let first_group = first_group?;
+    if all_groups.is_empty() {
         return None;
     }
-    // Collect the origin groups present (projection may be empty for some
-    // clause, which breaks the aligned-product structure, so require full
-    // alignment — checked below).
-    let mut group_set: BTreeSet<u32> = BTreeSet::new();
-    for i in 0..n {
-        for a in atoms_of(i) {
-            group_set.insert(origins.get(a.var)?);
-        }
-    }
-    let all_groups: Vec<u32> = group_set.into_iter().collect();
+    let pos = all_groups.binary_search(&first_group).unwrap_err();
+    all_groups.insert(pos, first_group);
+    let num_groups = all_groups.len();
 
-    // Projection of a clause onto an origin group. Atoms arrive sorted, so
-    // the filtered sequence is a valid sorted clause.
-    let project = |i: usize, g: u32| -> Clause {
-        Clause::from_atoms(atoms_of(i).filter(|a| origins.get(a.var) == Some(g)))
+    // Clause `c`'s projection onto group `k` is
+    // `atoms[cuts[c * (num_groups + 1) + k]..cuts[c * (num_groups + 1) + k + 1]]`.
+    let mut atoms: Vec<crate::Atom> = Vec::new();
+    let mut cuts: Vec<usize> = Vec::with_capacity(n * (num_groups + 1));
+    let mut tagged: Vec<(usize, crate::Atom)> = Vec::new();
+    for c in 0..n {
+        tagged.clear();
+        for a in atoms_of(c) {
+            let g = origins.get(a.var)?;
+            tagged.push((all_groups.binary_search(&g).ok()?, a));
+        }
+        tagged.sort_unstable();
+        let mut next = 0;
+        for k in 0..num_groups {
+            cuts.push(atoms.len());
+            while next < tagged.len() && tagged[next].0 == k {
+                atoms.push(tagged[next].1);
+                next += 1;
+            }
+        }
+        cuts.push(atoms.len());
+    }
+    let projection = |c: usize, k: usize| -> &[crate::Atom] {
+        let at = c * (num_groups + 1) + k;
+        &atoms[cuts[at]..cuts[at + 1]]
     };
+
+    // Dense ids of the distinct projections onto each group (`ids[c *
+    // num_groups + k]`), by exact slice equality.
+    let mut ids: Vec<u32> = vec![0; n * num_groups];
+    let mut distinct: Vec<usize> = Vec::with_capacity(num_groups);
+    let mut seen: HashMap<&[crate::Atom], u32> = HashMap::new();
+    for k in 0..num_groups {
+        seen.clear();
+        for c in 0..n {
+            let next = seen.len() as u32;
+            ids[c * num_groups + k] = *seen.entry(projection(c, k)).or_insert(next);
+        }
+        distinct.push(seen.len());
+    }
 
     // Pairwise merging: groups g and h must stay in the same factor if the
     // projection of the clause set onto {g, h} is not the product of the
-    // projections onto {g} and {h}.
+    // projections onto {g} and {h}. Group indices ascend with group ids, so
+    // the union-find groups them exactly as it would the ids.
     let mut uf: UnionFind<u32> = UnionFind::new();
-    for &g in &all_groups {
-        uf.insert(g);
+    for k in 0..num_groups {
+        uf.insert(k as u32);
     }
-    for i in 0..all_groups.len() {
-        for j in (i + 1)..all_groups.len() {
-            let (g, h) = (all_groups[i], all_groups[j]);
-            let mut proj_g: BTreeSet<Clause> = BTreeSet::new();
-            let mut proj_h: BTreeSet<Clause> = BTreeSet::new();
-            let mut proj_gh: BTreeSet<(Clause, Clause)> = BTreeSet::new();
-            for c in 0..n {
-                let cg = project(c, g);
-                let ch = project(c, h);
-                proj_g.insert(cg.clone());
-                proj_h.insert(ch.clone());
-                proj_gh.insert((cg, ch));
-            }
-            if proj_gh.len() != proj_g.len() * proj_h.len() {
-                uf.union(g, h);
+    let mut pairs: HashSet<(u32, u32)> = HashSet::new();
+    for k in 0..num_groups {
+        for l in (k + 1)..num_groups {
+            pairs.clear();
+            pairs.extend((0..n).map(|c| (ids[c * num_groups + k], ids[c * num_groups + l])));
+            if pairs.len() != distinct[k] * distinct[l] {
+                uf.union(k as u32, l as u32);
             }
         }
     }
@@ -365,39 +403,50 @@ where
         return None;
     }
 
-    // Build the projected factor clause sets and verify the product.
+    // Each factor's distinct projections: a clause's projection onto a
+    // factor is determined by its projection ids on the factor's groups.
+    // Only one representative clause per distinct projection is
+    // materialised.
     let mut factor_clauses: Vec<Vec<Clause>> = Vec::with_capacity(factors.len());
-    for group in &factors {
-        let group_set: BTreeSet<u32> = group.iter().copied().collect();
-        let mut seen: BTreeSet<Clause> = BTreeSet::new();
-        for c in 0..n {
-            let proj =
-                Clause::from_atoms(atoms_of(c).filter(|a| {
-                    origins.get(a.var).map(|g| group_set.contains(&g)).unwrap_or(false)
-                }));
-            seen.insert(proj);
+    let mut product_size: usize = 1;
+    for members in &factors {
+        let keys: Vec<u32> = ids
+            .chunks_exact(num_groups)
+            .flat_map(|row| members.iter().map(move |&k| row[k as usize]))
+            .collect();
+        let mut representatives: HashMap<&[u32], usize> = HashMap::new();
+        for (c, key) in keys.chunks_exact(members.len()).enumerate() {
+            representatives.entry(key).or_insert(c);
         }
-        // An empty projection in a factor means some clause has no variable
-        // from this factor; the aligned-product structure does not hold.
-        if seen.iter().any(|c| c.is_empty()) {
-            return None;
+        let mut clauses: Vec<Clause> = Vec::with_capacity(representatives.len());
+        for &c in representatives.values() {
+            let proj = Clause::from_atoms(
+                members.iter().flat_map(|&k| projection(c, k as usize)).copied(),
+            );
+            // An empty projection in a factor means some clause has no
+            // variable from this factor; the aligned-product structure does
+            // not hold.
+            if proj.is_empty() {
+                return None;
+            }
+            clauses.push(proj);
         }
-        factor_clauses.push(seen.into_iter().collect());
+        clauses.sort_unstable();
+        product_size = product_size.checked_mul(clauses.len())?;
+        factor_clauses.push(clauses);
     }
 
-    // Verify |Φ| = Π |π_Gi(Φ)| …
-    let product_size: usize = factor_clauses.iter().map(|f| f.len()).product();
+    // Verify |Φ| = Π |π_Gi(Φ)| … Every clause is the conjunction of its
+    // projections, so Φ (as a set) lies inside the product; with the sizes
+    // equal it is the whole product unless Φ holds a duplicate clause. Two
+    // clauses are equal iff their group-ordered atom runs are.
     if product_size != n {
         return None;
     }
-    // … and that every original clause is the conjunction of its projections
-    // (which holds by construction since projections partition each clause's
-    // atoms) and every recombination is an original clause. Because sizes
-    // match and recombinations of projections of original clauses include all
-    // original clauses, it suffices to check that the original clause set,
-    // viewed as a set, has the full product size (no duplicates collapse).
-    let original: BTreeSet<Clause> = (0..n).map(|i| Clause::from_atoms(atoms_of(i))).collect();
-    if original.len() != n {
+    let whole: HashSet<&[crate::Atom]> = (0..n)
+        .map(|c| &atoms[cuts[c * (num_groups + 1)]..cuts[(c + 1) * (num_groups + 1) - 1]])
+        .collect();
+    if whole.len() != n {
         return None;
     }
     Some(factor_clauses)

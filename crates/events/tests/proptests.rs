@@ -1,6 +1,11 @@
 //! Property-based tests for the event-algebra substrate.
 
-use events::{Atom, Clause, Dnf, ProbabilitySpace, VarId};
+use std::collections::BTreeSet;
+
+use events::{
+    product_factorization, product_factorization_by, Atom, Clause, Dnf, LineageArena,
+    ProbabilitySpace, UnionFind, VarId, VarOrigins,
+};
 use proptest::prelude::*;
 
 /// Strategy: a probability space of `n` Boolean variables with probabilities
@@ -205,5 +210,198 @@ proptest! {
         }
         prop_assert_eq!(&view.to_dnf(&arena), &owned);
         prop_assert_eq!(view.hash(&arena), owned.canonical_hash());
+    }
+}
+
+/// The set-based product factorization that preceded the flat-buffer one,
+/// step for step over owned clauses, as the oracle: `BTreeSet<Clause>`
+/// projections per origin pair, factors verified by size and by a
+/// duplicate-free clause set.
+fn product_factorization_oracle(
+    clauses: &[Clause],
+    origins: &VarOrigins,
+) -> Option<Vec<Vec<Clause>>> {
+    let n = clauses.len();
+    if n < 2 {
+        return None;
+    }
+    let mut group_set: BTreeSet<u32> = BTreeSet::new();
+    for c in clauses {
+        for a in c.atoms() {
+            group_set.insert(origins.get(a.var)?);
+        }
+    }
+    if group_set.len() < 2 {
+        return None;
+    }
+    let all_groups: Vec<u32> = group_set.into_iter().collect();
+    let project = |c: &Clause, g: u32| -> Clause {
+        Clause::from_atoms(c.atoms().iter().copied().filter(|a| origins.get(a.var) == Some(g)))
+    };
+    let mut uf: UnionFind<u32> = UnionFind::new();
+    for &g in &all_groups {
+        uf.insert(g);
+    }
+    for i in 0..all_groups.len() {
+        for j in (i + 1)..all_groups.len() {
+            let (g, h) = (all_groups[i], all_groups[j]);
+            let mut proj_g: BTreeSet<Clause> = BTreeSet::new();
+            let mut proj_h: BTreeSet<Clause> = BTreeSet::new();
+            let mut proj_gh: BTreeSet<(Clause, Clause)> = BTreeSet::new();
+            for c in clauses {
+                let (cg, ch) = (project(c, g), project(c, h));
+                proj_g.insert(cg.clone());
+                proj_h.insert(ch.clone());
+                proj_gh.insert((cg, ch));
+            }
+            if proj_gh.len() != proj_g.len() * proj_h.len() {
+                uf.union(g, h);
+            }
+        }
+    }
+    let factors: Vec<Vec<u32>> = uf.groups();
+    if factors.len() < 2 {
+        return None;
+    }
+    let mut factor_clauses: Vec<Vec<Clause>> = Vec::with_capacity(factors.len());
+    for group in &factors {
+        let group_set: BTreeSet<u32> = group.iter().copied().collect();
+        let mut seen: BTreeSet<Clause> = BTreeSet::new();
+        for c in clauses {
+            seen.insert(Clause::from_atoms(
+                c.atoms().iter().copied().filter(|a| {
+                    origins.get(a.var).map(|g| group_set.contains(&g)).unwrap_or(false)
+                }),
+            ));
+        }
+        if seen.iter().any(|c| c.is_empty()) {
+            return None;
+        }
+        factor_clauses.push(seen.into_iter().collect());
+    }
+    let product_size: usize = factor_clauses.iter().map(|f| f.len()).product();
+    if product_size != n {
+        return None;
+    }
+    let original: BTreeSet<Clause> = clauses.iter().cloned().collect();
+    if original.len() != n {
+        return None;
+    }
+    Some(factor_clauses)
+}
+
+/// Origin labels of the generated groups, deliberately not in generation
+/// order.
+const GROUP_LABELS: [u32; 4] = [7, 3, 11, 5];
+
+/// Strategy: origin-labelled clause sets around a product of 2–4 groups
+/// (group `g` owns variables `4g..4g+4`). `mode` picks the shape:
+/// 0–1 the exact product; 2 a product whose first two groups are correlated
+/// (one multi-group factor); 3 one clause removed; 4 one clause added;
+/// 5 one clause duplicated (owned slices keep duplicates); 6 one clause
+/// replaced by a duplicate of another, which keeps every projection and the
+/// clause count, so only the duplicate check rejects it; 7 one clause with an
+/// empty projection onto some group.
+fn arb_origin_clauses() -> impl Strategy<Value = (Vec<Clause>, VarOrigins)> {
+    let literal = (0..4u32, prop::bool::ANY);
+    let group_clauses = prop::collection::vec(prop::collection::vec(literal, 1..=2usize), 1..=3);
+    let extra = prop::collection::vec((0..16u32, prop::bool::ANY), 1..=3usize);
+    (2usize..=4).prop_flat_map(move |groups| {
+        let per_group = prop::collection::vec(group_clauses.clone(), groups);
+        (per_group, 0u8..8, 0usize..1000, extra.clone()).prop_map(
+            move |(per_group, mode, pick, extra)| {
+                let atom = |var: u32, positive: bool| {
+                    if positive {
+                        Atom::pos(VarId(var))
+                    } else {
+                        Atom::neg(VarId(var))
+                    }
+                };
+                // Factor clause lists: each group's clauses as atom lists.
+                let mut factors: Vec<Vec<Vec<Atom>>> = per_group
+                    .iter()
+                    .enumerate()
+                    .map(|(g, cs)| {
+                        cs.iter()
+                            .map(|c| {
+                                c.iter().map(|&(v, pos)| atom(4 * g as u32 + v, pos)).collect()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                if mode == 2 {
+                    // Zip the first two groups instead of crossing them.
+                    let (first, second) = (factors.remove(0), factors.remove(0));
+                    let zipped = (0..first.len().max(second.len()))
+                        .map(|i| {
+                            let mut c = first[i % first.len()].clone();
+                            c.extend(&second[i % second.len()]);
+                            c
+                        })
+                        .collect();
+                    factors.insert(0, zipped);
+                }
+                let mut clauses: Vec<Vec<Atom>> = vec![Vec::new()];
+                for factor in &factors {
+                    clauses = clauses
+                        .iter()
+                        .flat_map(|c| {
+                            factor.iter().map(move |f| c.iter().chain(f).copied().collect())
+                        })
+                        .collect();
+                }
+                let mut clauses: Vec<Clause> =
+                    clauses.into_iter().map(Clause::from_atoms).collect();
+                let at = pick % clauses.len();
+                let extra = Clause::from_atoms(
+                    extra.iter().map(|&(v, pos)| atom(v % (4 * groups as u32), pos)),
+                );
+                match mode {
+                    3 => {
+                        clauses.remove(at);
+                    }
+                    4 => clauses.push(extra),
+                    5 => clauses.push(clauses[at].clone()),
+                    6 => clauses[at] = clauses[(at + 1) % clauses.len()].clone(),
+                    7 => {
+                        // Drop the clause's atoms of one group.
+                        let g = pick % groups;
+                        let kept =
+                            clauses[at].atoms().iter().copied().filter(|a| a.var.0 / 4 != g as u32);
+                        clauses.push(Clause::from_atoms(kept));
+                    }
+                    _ => {}
+                }
+                let shift = pick % clauses.len().max(1);
+                clauses.rotate_left(shift);
+                let mut origins = VarOrigins::new();
+                for v in 0..4 * groups as u32 {
+                    origins.set(VarId(v), GROUP_LABELS[v as usize / 4]);
+                }
+                (clauses, origins)
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat-buffer factorization returns exactly the set-based oracle's
+    /// factors (same factors, same order, same clauses) or its `None`, on
+    /// owned slices (duplicates kept) and on arena views of the normalised
+    /// DNF.
+    #[test]
+    fn product_factorization_equals_set_oracle((clauses, origins) in arb_origin_clauses()) {
+        prop_assert_eq!(
+            product_factorization(&clauses, &origins),
+            product_factorization_oracle(&clauses, &origins)
+        );
+        let dnf = Dnf::from_clauses(clauses.clone());
+        let (arena, view) = LineageArena::from_dnf(&dnf);
+        prop_assert_eq!(
+            product_factorization_by(view.len(), |i| view.clause(&arena, i), &origins),
+            product_factorization_oracle(dnf.clauses(), &origins)
+        );
     }
 }
