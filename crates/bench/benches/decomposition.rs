@@ -11,7 +11,9 @@
 //!
 //! Set `DECOMPOSITION_SMOKE=1` to run the end-to-end comparison at smoke
 //! scale (what CI's quickstart job does): a smaller graph, fewer reps, and a
-//! regression floor of 1.0× instead of the full 1.5× acceptance gate.
+//! regression floor of 1.0× instead of the full 1.5× acceptance gate. Smoke
+//! runs leave `BENCH_decomp.json` untouched, since their timings are not at
+//! the committed scale.
 
 use std::time::Duration;
 
@@ -51,9 +53,12 @@ fn bench_decomposition(c: &mut Criterion) {
     let smoke = std::env::var_os("DECOMPOSITION_SMOKE").is_some();
     let floor = if smoke { 1.0 } else { 1.5 };
     let records = bench::decomposition_records(smoke, Some(floor));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_decomp.json");
-    if let Err(e) = bench::write_json(&path, &records) {
-        obs::warn("bench.report", &format!("could not write {}: {e}", path.display()));
+    // Smoke runs skip the write: their scale is not the committed one.
+    if !smoke {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_decomp.json");
+        if let Err(e) = bench::write_json(&path, &records) {
+            obs::warn("bench.report", &format!("could not write {}: {e}", path.display()));
+        }
     }
 
     let (space, dnf) = micro_formula();

@@ -3,10 +3,10 @@
 //! govern tractability (Section VI of the paper).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-use events::{Clause, Dnf};
+use events::{Atom, Clause, Dnf};
 
 use crate::database::Database;
 use crate::value::Value;
@@ -264,22 +264,29 @@ impl ConjunctiveQuery {
     /// Boolean queries, provided at least one satisfying assignment exists).
     ///
     /// The query is first compiled into a left-to-right join plan. Every
-    /// variable gets a slot, numbered in order of first appearance, and a
-    /// partial assignment stores its bindings as a vector indexed by slot.
-    /// For each subgoal the plan fixes, once, which tuple positions probe
-    /// the partials (variables bound by earlier subgoals), which bind new
-    /// slots, and where each inequality predicate is decided: at the first
-    /// subgoal that binds both of its operands. A *tuple-local* check —
-    /// a constant in the subgoal, a variable repeated within it, or a
-    /// predicate over its own new variables and constants — runs once per
-    /// scanned tuple, before the probe. A *cross* predicate, which reads a
-    /// slot bound earlier, runs per candidate partial on the values in
-    /// place. Only after every check has passed are the bindings copied
-    /// into a new partial and the lineages conjoined, so no partial is
-    /// built that a predicate rejects. The lineage of an answer is the
-    /// disjunction over satisfying assignments of the conjunction of the
-    /// matched tuples' lineages — exactly the DNF whose probability is the
-    /// answer confidence.
+    /// variable gets a slot, numbered in order of first appearance. For
+    /// each subgoal the plan fixes, once, which tuple positions probe the
+    /// partial assignments (variables bound by earlier subgoals), and where
+    /// each inequality predicate is decided: at the first subgoal that binds
+    /// both of its operands. A *tuple-local* check — a constant in the
+    /// subgoal, a variable repeated within it, or a predicate over its own
+    /// new variables and constants — runs once per scanned tuple, before
+    /// the probe. A *cross* predicate, which reads a slot bound earlier,
+    /// runs per candidate partial on the values in place.
+    ///
+    /// A partial keeps only its *live* slots: those that a later probe key,
+    /// cross predicate or the head still reads. After the last subgoal the
+    /// live slots are the head itself, so a Boolean query's partials hold
+    /// no values at all. Partials live in flat buffers, one row of live
+    /// values and one lineage clause each; a matched tuple whose lineage
+    /// has `k` clauses yields `k` partials (∧ distributes over ∨). Nothing
+    /// is built for a candidate that a check rejects. At the end, partials
+    /// are grouped by head values and each group's clauses become one
+    /// canonical [`Dnf`], which drops the inconsistent ones that
+    /// block-independent self-joins produce. The lineage of an answer is
+    /// thus the disjunction over satisfying assignments of the conjunction
+    /// of the matched tuples' lineages — exactly the DNF whose probability
+    /// is the answer confidence.
     ///
     /// # Panics
     ///
@@ -287,18 +294,11 @@ impl ConjunctiveQuery {
     /// predicate variable that no subgoal binds. The message names the
     /// query and the variable.
     pub fn evaluate(&self, db: &Database) -> Vec<QueryAnswer> {
-        // A partial assignment: slot bindings plus the conjunction of the
-        // lineages of the tuples matched so far (kept as a clause list since
-        // base-table lineages are single clauses; general DNFs distribute).
-        struct Partial {
-            bindings: Vec<Value>,
-            lineage: Dnf,
-        }
-
-        let plan = self.plan();
-        let mut partials = vec![Partial { bindings: Vec::new(), lineage: Dnf::tautology() }];
-        for step in &plan.steps {
-            if partials.is_empty() || db.schema(step.relation).is_none() {
+        // One partial that binds nothing, with the clause `true`.
+        let mut partials = Partials::new(0);
+        partials.ends.push(0);
+        for step in &self.plan() {
+            if partials.len() == 0 || db.schema(step.relation).is_none() {
                 return Vec::new();
             }
             // Hash index of the *partials* on their probe key; the subgoal's
@@ -309,56 +309,64 @@ impl ConjunctiveQuery {
             // actually match live on the heap. The final answers do not
             // depend on the orientation or on the order partials are built
             // in, because answer lineages are canonicalized by
-            // `Dnf::from_clauses` below. Buckets are keyed by the key's hash,
-            // so a probe allocates nothing; the key itself is compared per
+            // `Dnf::from_clauses` below. Partials sharing a key hash are
+            // chained through `next`, built back to front so that each chain
+            // runs in partial order; the key itself is compared per
             // candidate.
-            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (pi, partial) in partials.iter().enumerate() {
-                let key = key_hash(step.key.iter().map(|&(_, s)| &partial.bindings[s]));
-                by_key.entry(key).or_default().push(pi);
+            let mut first: HashMap<u64, usize> = HashMap::new();
+            let mut next = vec![None; partials.len()];
+            for k in (0..partials.len()).rev() {
+                let bound = partials.values(k);
+                next[k] = first.insert(key_hash(step.key.iter().map(|&(_, c)| &bound[c])), k);
             }
 
-            let mut next = Vec::new();
+            let mut out = Partials::new(step.out.len());
             for tuple in db.scan(step.relation) {
                 let values = &tuple.values;
                 if !step.local.iter().all(|c| c.holds(&[], values)) {
                     continue;
                 }
-                let key = key_hash(step.key.iter().map(|&(p, _)| &values[p]));
-                let Some(candidates) = by_key.get(&key) else { continue };
-                for &pi in candidates {
-                    let partial = &partials[pi];
-                    let bound = &partial.bindings;
-                    if !step.key.iter().all(|&(p, s)| bound[s] == values[p])
+                let mut candidate = first.get(&key_hash(step.key.iter().map(|&(p, _)| &values[p])));
+                while let Some(&k) = candidate {
+                    candidate = next[k].as_ref();
+                    let bound = partials.values(k);
+                    if !step.key.iter().all(|&(p, c)| bound[c] == values[p])
                         || !step.cross.iter().all(|c| c.holds(bound, values))
                     {
                         continue;
                     }
-                    let mut bindings = Vec::with_capacity(bound.len() + step.binds.len());
-                    bindings.extend_from_slice(bound);
-                    bindings.extend(step.binds.iter().map(|&p| values[p].clone()));
-                    next.push(Partial { bindings, lineage: partial.lineage.and(&tuple.lineage) });
+                    for clause in tuple.lineage.clauses() {
+                        out.values
+                            .extend(step.out.iter().map(|src| src.read(bound, values).clone()));
+                        out.atoms.extend_from_slice(partials.atoms(k));
+                        out.atoms.extend_from_slice(clause.atoms());
+                        out.ends.push(out.atoms.len());
+                    }
                 }
             }
-            partials = next;
+            partials = out;
         }
 
-        // Group by head values and disjoin lineages.
-        let mut grouped: BTreeMap<Vec<Value>, Vec<Clause>> = BTreeMap::new();
-        for partial in partials {
-            let head: Vec<Value> = plan.head.iter().map(|&s| partial.bindings[s].clone()).collect();
-            grouped.entry(head).or_default().extend(partial.lineage.into_clauses());
-        }
-        grouped
-            .into_iter()
-            .map(|(head, clauses)| QueryAnswer { head, lineage: Dnf::from_clauses(clauses) })
+        // The last layout is the head: group by it and disjoin the clauses.
+        let mut order: Vec<usize> = (0..partials.len()).collect();
+        order.sort_unstable_by(|&a, &b| partials.values(a).cmp(partials.values(b)));
+        order
+            .chunk_by(|&a, &b| partials.values(a) == partials.values(b))
+            .map(|group| QueryAnswer {
+                head: partials.values(group[0]).to_vec(),
+                lineage: Dnf::from_clauses(
+                    group.iter().map(|&k| Clause::from_atoms(partials.atoms(k).iter().copied())),
+                ),
+            })
             .collect()
     }
 
-    /// Compiles the join plan [`ConjunctiveQuery::evaluate`] runs: slots in
-    /// first-appearance order, and per subgoal its probe key, new slots and
-    /// checks. Panics when a head or predicate variable has no slot.
-    fn plan(&self) -> Plan<'_> {
+    /// Compiles the join plan [`ConjunctiveQuery::evaluate`] runs, one
+    /// [`Step`] per subgoal in query order. Slots are numbered in order of
+    /// first appearance; each step reads and writes partials in a layout of
+    /// the slots live at that point, and the last step writes the head.
+    /// Panics when a head or predicate variable has no slot.
+    fn plan(&self) -> Vec<Step<'_>> {
         let mut slot_of: HashMap<&str, usize> = HashMap::new();
         // `origin[s]`: the subgoal that binds slot `s`, and the position in
         // it that binds it first.
@@ -370,7 +378,7 @@ impl ConjunctiveQuery {
                 local: Vec::new(),
                 key: Vec::new(),
                 cross: Vec::new(),
-                binds: Vec::new(),
+                out: Vec::new(),
             };
             for (pos, term) in sg.terms.iter().enumerate() {
                 let v = match term {
@@ -394,7 +402,6 @@ impl ConjunctiveQuery {
                     None => {
                         slot_of.insert(v, origin.len());
                         origin.push((i, pos));
-                        step.binds.push(pos);
                     }
                 }
             }
@@ -439,36 +446,105 @@ impl ConjunctiveQuery {
                 step.local.push(check);
             }
         }
-        let head = self.head.iter().map(|v| slot("head", v)).collect();
-        Plan { steps, head }
+        let head: Vec<usize> = self.head.iter().map(|v| slot("head", v)).collect();
+
+        // `last[s]`: the last step that reads slot `s` from a partial, by a
+        // probe key or a cross predicate; the head reads after every step.
+        let mut last: Vec<Option<usize>> = vec![None; origin.len()];
+        for (i, step) in steps.iter().enumerate() {
+            let reads = step.cross.iter().flat_map(|c| [c.left, c.right]);
+            for src in step.key.iter().map(|&(_, s)| Src::Slot(s)).chain(reads) {
+                if let Src::Slot(s) = src {
+                    last[s] = Some(i);
+                }
+            }
+        }
+        for &s in &head {
+            last[s] = Some(steps.len());
+        }
+        // Lay out each step's partials: the input is the previous step's
+        // output, slot numbers become columns of it, and the output holds
+        // the slots live after the step (the head, after the last one).
+        let mut input: Vec<usize> = Vec::new();
+        let n = steps.len();
+        for (i, step) in steps.iter_mut().enumerate() {
+            let output: Vec<usize> = if i + 1 == n {
+                head.clone()
+            } else {
+                (0..origin.len()).filter(|&s| origin[s].0 <= i && last[s] > Some(i)).collect()
+            };
+            let col = |s: usize| input.iter().position(|&t| t == s).expect("a read slot is live");
+            for (_, s) in &mut step.key {
+                *s = col(*s);
+            }
+            for c in &mut step.cross {
+                for src in [&mut c.left, &mut c.right] {
+                    if let Src::Slot(s) = src {
+                        *s = col(*s);
+                    }
+                }
+            }
+            step.out = output
+                .iter()
+                .map(|&s| if origin[s].0 == i { Src::Pos(origin[s].1) } else { Src::Slot(col(s)) })
+                .collect();
+            input = output;
+        }
+        steps
     }
 }
 
-/// A compiled [`ConjunctiveQuery`]: one [`Step`] per subgoal, in query
-/// order, and the slots of the head variables.
-struct Plan<'q> {
-    steps: Vec<Step<'q>>,
-    head: Vec<usize>,
+/// The partial assignments between two join steps, in flat buffers:
+/// partial `k` binds the step's live slots to the row
+/// `values[k * width..(k + 1) * width]` and carries one lineage clause,
+/// the atoms `atoms[ends[k]..ends[k + 1]]` (unsorted, possibly
+/// inconsistent).
+struct Partials {
+    width: usize,
+    values: Vec<Value>,
+    atoms: Vec<Atom>,
+    ends: Vec<usize>,
 }
 
-/// One subgoal of a [`Plan`].
+impl Partials {
+    /// No partials, in rows of `width` values.
+    fn new(width: usize) -> Self {
+        Partials { width, values: Vec::new(), atoms: Vec::new(), ends: vec![0] }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    fn values(&self, k: usize) -> &[Value] {
+        &self.values[k * self.width..(k + 1) * self.width]
+    }
+
+    fn atoms(&self, k: usize) -> &[Atom] {
+        &self.atoms[self.ends[k]..self.ends[k + 1]]
+    }
+}
+
+/// One subgoal of a compiled [`ConjunctiveQuery`]. Its partials come in a
+/// layout of live slots; `Src::Slot` and key columns index that layout.
 struct Step<'q> {
     relation: &'q str,
     /// Checks that read only the scanned tuple and constants.
     local: Vec<Check<'q>>,
-    /// The probe key: `(position, slot)` for each position holding a
+    /// The probe key: `(position, column)` for each position holding a
     /// variable bound by an earlier subgoal.
     key: Vec<(usize, usize)>,
     /// Predicates that read a slot bound by an earlier subgoal.
     cross: Vec<Check<'q>>,
-    /// Positions whose values fill the new slots, in slot order.
-    binds: Vec<usize>,
+    /// Where each column of an output partial is read from: the input
+    /// partial or the matched tuple.
+    out: Vec<Src<'q>>,
 }
 
 /// Where a [`Check`] operand is read from.
 #[derive(Clone, Copy)]
 enum Src<'q> {
-    /// A slot of the candidate partial.
+    /// A column of the candidate partial.
     Slot(usize),
     /// A position of the scanned tuple.
     Pos(usize),

@@ -178,22 +178,29 @@ pub fn decode_tuple(payload: &[u8]) -> Result<AnnotatedTuple, StorageError> {
     Ok(AnnotatedTuple::new(values, lineage))
 }
 
+/// The 256-entry CRC-32 lookup table, computed at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Guards every WAL
 /// frame against torn or bit-rotted tails.
 pub fn crc32(data: &[u8]) -> u32 {
-    // The 256-entry table is tiny; computing it per call keeps the codec
-    // state-free and the cost is dwarfed by the I/O it protects.
-    let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
-        let mut c = i as u32;
-        for _ in 0..8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-        }
-        *slot = c;
-    }
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }

@@ -1,8 +1,13 @@
 //! Differential test of conjunctive-query evaluation: random small queries
-//! on random small tuple-independent `R(a)`, `S(a, b)`, `T(b)` databases
-//! must give exactly the answers of a brute-force nested loop over every
-//! combination of tuples, and a disk-backed copy of each database must give
-//! answers bit-identical to the heap-backed one.
+//! on random small databases must give exactly the answers of a brute-force
+//! nested loop over every combination of tuples, and a disk-backed copy of
+//! each database must give answers bit-identical to the heap-backed one.
+//!
+//! The databases mix three kinds of table: tuple-independent `R(a)`,
+//! `S(a, b)` and `T(b)`; a block-independent-disjoint `B(a, s)`, whose
+//! multi-valued block variables make self-joins produce inconsistent
+//! clauses; and a deterministic `D(s, b)` with constant-true lineage. The
+//! `s` columns hold strings, every other column integers.
 
 use std::collections::BTreeMap;
 
@@ -11,98 +16,158 @@ use pdb::storage::testutil::TempDir;
 use pdb::{AnnotatedTuple, ConjunctiveQuery, Database, IneqOp, Operand, QueryAnswer, Term, Value};
 use proptest::prelude::*;
 
-/// The relations and their columns, in creation order.
-const RELATIONS: [(&str, &[&str]); 3] = [("R", &["a"]), ("S", &["a", "b"]), ("T", &["b"])];
+/// How a table's tuples get their lineage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// One fresh Boolean variable per tuple.
+    Independent,
+    /// One multi-valued variable per block of alternatives.
+    Bid,
+    /// The constant `true`.
+    Deterministic,
+}
 
-/// The query variables a term may use.
-const VARS: [&str; 3] = ["A", "B", "C"];
+/// The relations, their kinds and columns, in creation order. Columns
+/// named `s` hold strings.
+const RELATIONS: [(&str, Kind, &[&str]); 5] = [
+    ("R", Kind::Independent, &["a"]),
+    ("S", Kind::Independent, &["a", "b"]),
+    ("T", Kind::Independent, &["b"]),
+    ("B", Kind::Bid, &["a", "s"]),
+    ("D", Kind::Deterministic, &["s", "b"]),
+];
+
+/// The query variables a term of an integer column may use.
+const INT_VARS: [&str; 3] = ["A", "B", "C"];
+
+/// The query variables a term of a string column may use.
+const STR_VARS: [&str; 2] = ["X", "Y"];
 
 const OPS: [IneqOp; 5] = [IneqOp::Lt, IneqOp::Le, IneqOp::Gt, IneqOp::Ge, IneqOp::Neq];
 
-/// Attribute values are drawn from `0..DOMAIN`, so joins and predicates
-/// both pass and fail often.
+/// Attribute values are drawn from `0..DOMAIN` (integers) or its string
+/// counterpart, so joins and predicates both pass and fail often.
 const DOMAIN: i64 = 3;
 
-/// `(values, probability)` rows of one relation.
-type Rows = Vec<(Vec<Value>, f64)>;
+/// Blocks of `(values, probability)` alternatives of one relation; every
+/// block of a table that is not [`Kind::Bid`] has one row.
+type Blocks = Vec<Vec<(Vec<Value>, f64)>>;
 
 /// A random database and a random query over it.
 #[derive(Debug, Clone)]
 struct Case {
-    tables: Vec<Rows>,
+    tables: Vec<Blocks>,
     query: ConjunctiveQuery,
 }
 
-/// Up to four rows per relation, values in `0..DOMAIN`.
-fn rows(arity: usize) -> impl Strategy<Value = Rows> {
-    let row = ((0..DOMAIN, 0..DOMAIN), 0.1f64..0.9);
-    prop::collection::vec(row, 0..5).prop_map(move |rows| {
-        rows.into_iter()
-            .map(|((x, y), p)| ([Value::Int(x), Value::Int(y)][..arity].to_vec(), p))
+/// The value `x` in a column: an integer, or a string in column `s`.
+fn value(column: &str, x: i64) -> Value {
+    match column {
+        "s" => Value::Str(format!("s{x}")),
+        _ => Value::Int(x),
+    }
+}
+
+/// One to five blocks of two or three alternatives (one for tables that
+/// are not BID), values in `0..DOMAIN`. The alternatives of a block share
+/// their first column, the block key, so a self-join on the key pairs
+/// alternatives of one block. Block probabilities stay below 1.
+fn table(kind: Kind, columns: &'static [&'static str]) -> impl Strategy<Value = Blocks> {
+    let width = if kind == Kind::Bid { 2..4 } else { 1..2 };
+    let row = (prop::collection::vec(0..DOMAIN, columns.len()), 0.05f64..0.3);
+    let block = prop::collection::vec(row, width);
+    prop::collection::vec(block, 1..6).prop_map(move |blocks| {
+        blocks
+            .into_iter()
+            .map(|block| {
+                let key = block[0].0[0];
+                block
+                    .into_iter()
+                    .map(|(mut xs, p)| {
+                        xs[0] = key;
+                        (columns.iter().zip(xs).map(|(c, x)| value(c, x)).collect(), p)
+                    })
+                    .collect()
+            })
             .collect()
     })
 }
 
-/// A term: one of [`VARS`] (three times in four) or a constant.
-fn term() -> impl Strategy<Value = Term> {
-    (0..VARS.len() + 1, 0..DOMAIN).prop_map(|(k, c)| match VARS.get(k) {
-        Some(v) => Term::var(*v),
-        None => Term::constant(c),
-    })
+/// A term of a column: a variable of the column's type (three times in
+/// four) or a constant of that type.
+fn term(column: &str, k: usize, x: i64) -> Term {
+    let vars: &[&str] = if column == "s" { &STR_VARS } else { &INT_VARS };
+    match k {
+        0..3 => Term::var(vars[k % vars.len()]),
+        _ => Term::Const(value(column, x)),
+    }
 }
 
-/// A query of one to three subgoals (self-joins included), up to three
+/// A query of one to four subgoals (self-joins included), up to three
 /// predicates and a head drawn from the variables its subgoals bind, so
-/// the query is range-restricted.
+/// the query is range-restricted. A predicate constant takes the type of
+/// the column that first binds the predicate's variable.
 fn query() -> impl Strategy<Value = ConjunctiveQuery> {
-    let subgoal = (0..RELATIONS.len(), prop::collection::vec(term(), 2..3));
-    let predicate = (0..VARS.len(), 0..OPS.len(), 0..VARS.len() + 1, 0..DOMAIN);
+    // One extra draw goes to the BID table, so its self-joins are common.
+    let subgoal = (0..RELATIONS.len() + 1, prop::collection::vec((0..4usize, 0..DOMAIN), 2..3));
+    let vars = INT_VARS.len() + STR_VARS.len();
+    let predicate = (0..vars, 0..OPS.len(), 0..vars + 1, 0..DOMAIN);
     (
-        prop::collection::vec(subgoal, 1..4),
+        prop::collection::vec(subgoal, 1..5),
         prop::collection::vec(predicate, 0..4),
-        prop::collection::vec(prop::bool::ANY, VARS.len()..VARS.len() + 1),
+        prop::collection::vec(prop::bool::ANY, vars..vars + 1),
     )
-        .prop_map(|(subgoals, predicates, in_head)| {
+        .prop_map(move |(subgoals, predicates, in_head)| {
             let mut q = ConjunctiveQuery::new("random");
+            let mut column_of: BTreeMap<String, &str> = BTreeMap::new();
             for (rel, terms) in subgoals {
-                let (name, columns) = RELATIONS[rel];
-                q = q.with_subgoal(name, terms[..columns.len()].to_vec());
+                let (name, _, columns) = RELATIONS.get(rel).copied().unwrap_or(RELATIONS[3]);
+                let terms: Vec<Term> =
+                    columns.iter().zip(terms).map(|(c, (k, x))| term(c, k, x)).collect();
+                for (&column, t) in columns.iter().zip(&terms) {
+                    if let Term::Var(v) = t {
+                        column_of.entry(v.clone()).or_insert(column);
+                    }
+                }
+                q = q.with_subgoal(name, terms);
             }
-            let bound: Vec<String> = VARS
-                .iter()
-                .filter(|v| q.variables().contains(**v))
-                .map(|v| (*v).to_owned())
-                .collect();
+            let bound: Vec<&str> = column_of.keys().map(String::as_str).collect();
             if bound.is_empty() {
                 return q;
             }
-            for (l, op, r, c) in predicates {
-                let left = &bound[l % bound.len()];
+            for (l, op, r, x) in predicates {
+                let left = bound[l % bound.len()];
                 q = match r {
-                    r if r < VARS.len() => {
-                        q.with_var_predicate(left, OPS[op], &bound[r % bound.len()])
-                    }
-                    _ => q.with_const_predicate(left, OPS[op], c),
+                    r if r < vars => q.with_var_predicate(left, OPS[op], bound[r % bound.len()]),
+                    _ => q.with_const_predicate(left, OPS[op], value(column_of[left], x)),
                 };
             }
-            let head: Vec<&str> = bound
-                .iter()
-                .zip(in_head)
-                .filter(|(_, keep)| *keep)
-                .map(|(v, _)| v.as_str())
-                .collect();
+            let head: Vec<&str> =
+                bound.iter().zip(in_head).filter(|(_, keep)| *keep).map(|(v, _)| *v).collect();
             q.with_head(&head)
         })
 }
 
 fn case() -> impl Strategy<Value = Case> {
-    (rows(1), rows(2), rows(1), query())
-        .prop_map(|(r, s, t, query)| Case { tables: vec![r, s, t], query })
+    let table = |i: usize| table(RELATIONS[i].1, RELATIONS[i].2);
+    (table(0), table(1), table(2), table(3), table(4), query())
+        .prop_map(|(r, s, t, b, d, query)| Case { tables: vec![r, s, t, b, d], query })
 }
 
-fn load(db: &mut Database, tables: &[Rows]) {
-    for ((name, columns), rows) in RELATIONS.iter().zip(tables) {
-        db.add_tuple_independent_table(name, columns, rows.clone());
+fn load(db: &mut Database, tables: &[Blocks]) {
+    for (&(name, kind, columns), blocks) in RELATIONS.iter().zip(tables) {
+        let rows = blocks.iter().flatten().cloned();
+        match kind {
+            Kind::Independent => {
+                db.add_tuple_independent_table(name, columns, rows.collect());
+            }
+            Kind::Bid => {
+                db.add_bid_table(name, columns, blocks.clone());
+            }
+            Kind::Deterministic => {
+                db.add_deterministic_table(name, columns, rows.map(|(values, _)| values).collect());
+            }
+        }
     }
 }
 
