@@ -274,15 +274,14 @@ impl ConjunctiveQuery {
     /// the probe. A *cross* predicate, which reads a slot bound earlier,
     /// runs per candidate partial on the values in place.
     ///
-    /// A partial keeps only its *live* slots: those that a later probe key,
-    /// cross predicate or the head still reads. After the last subgoal the
-    /// live slots are the head itself, so a Boolean query's partials hold
-    /// no values at all. Partials live in flat buffers, one row of live
-    /// values and one lineage clause each; a matched tuple whose lineage
-    /// has `k` clauses yields `k` partials (∧ distributes over ∨). Nothing
-    /// is built for a candidate that a check rejects. At the end, partials
-    /// are grouped by head values and each group's clauses become one
-    /// canonical [`Dnf`], which drops the inconsistent ones that
+    /// A partial binds every slot bound so far, except after the last
+    /// subgoal, where it keeps only the head: a Boolean query's final
+    /// partials hold no values at all. Partials live in flat buffers, one
+    /// row of values and one lineage clause each; a matched tuple whose
+    /// lineage has `k` clauses yields `k` partials (∧ distributes over ∨).
+    /// Nothing is built for a candidate that a check rejects. At the end,
+    /// partials are grouped by head values and each group's clauses become
+    /// one canonical [`Dnf`], which drops the inconsistent ones that
     /// block-independent self-joins produce. The lineage of an answer is
     /// thus the disjunction over satisfying assignments of the conjunction
     /// of the matched tuples' lineages — exactly the DNF whose probability
@@ -309,15 +308,14 @@ impl ConjunctiveQuery {
             // actually match live on the heap. The final answers do not
             // depend on the orientation or on the order partials are built
             // in, because answer lineages are canonicalized by
-            // `Dnf::from_clauses` below. Partials sharing a key hash are
-            // chained through `next`, built back to front so that each chain
-            // runs in partial order; the key itself is compared per
+            // `Dnf::from_clauses` below. Buckets are keyed by the key's hash,
+            // so a probe allocates nothing; the key itself is compared per
             // candidate.
-            let mut first: HashMap<u64, usize> = HashMap::new();
-            let mut next = vec![None; partials.len()];
-            for k in (0..partials.len()).rev() {
+            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
+            for k in 0..partials.len() {
                 let bound = partials.values(k);
-                next[k] = first.insert(key_hash(step.key.iter().map(|&(_, c)| &bound[c])), k);
+                let key = key_hash(step.key.iter().map(|&(_, s)| &bound[s]));
+                by_key.entry(key).or_default().push(k);
             }
 
             let mut out = Partials::new(step.out.len());
@@ -326,11 +324,11 @@ impl ConjunctiveQuery {
                 if !step.local.iter().all(|c| c.holds(&[], values)) {
                     continue;
                 }
-                let mut candidate = first.get(&key_hash(step.key.iter().map(|&(p, _)| &values[p])));
-                while let Some(&k) = candidate {
-                    candidate = next[k].as_ref();
+                let key = key_hash(step.key.iter().map(|&(p, _)| &values[p]));
+                let Some(candidates) = by_key.get(&key) else { continue };
+                for &k in candidates {
                     let bound = partials.values(k);
-                    if !step.key.iter().all(|&(p, c)| bound[c] == values[p])
+                    if !step.key.iter().all(|&(p, s)| bound[s] == values[p])
                         || !step.cross.iter().all(|c| c.holds(bound, values))
                     {
                         continue;
@@ -363,8 +361,8 @@ impl ConjunctiveQuery {
 
     /// Compiles the join plan [`ConjunctiveQuery::evaluate`] runs, one
     /// [`Step`] per subgoal in query order. Slots are numbered in order of
-    /// first appearance; each step reads and writes partials in a layout of
-    /// the slots live at that point, and the last step writes the head.
+    /// first appearance; each step writes partials that bind every slot
+    /// bound so far, and the last step writes the head.
     /// Panics when a head or predicate variable has no slot.
     fn plan(&self) -> Vec<Step<'_>> {
         let mut slot_of: HashMap<&str, usize> = HashMap::new();
@@ -448,54 +446,28 @@ impl ConjunctiveQuery {
         }
         let head: Vec<usize> = self.head.iter().map(|v| slot("head", v)).collect();
 
-        // `last[s]`: the last step that reads slot `s` from a partial, by a
-        // probe key or a cross predicate; the head reads after every step.
-        let mut last: Vec<Option<usize>> = vec![None; origin.len()];
-        for (i, step) in steps.iter().enumerate() {
-            let reads = step.cross.iter().flat_map(|c| [c.left, c.right]);
-            for src in step.key.iter().map(|&(_, s)| Src::Slot(s)).chain(reads) {
-                if let Src::Slot(s) = src {
-                    last[s] = Some(i);
-                }
-            }
-        }
-        for &s in &head {
-            last[s] = Some(steps.len());
-        }
-        // Lay out each step's partials: the input is the previous step's
-        // output, slot numbers become columns of it, and the output holds
-        // the slots live after the step (the head, after the last one).
-        let mut input: Vec<usize> = Vec::new();
+        // Every step but the last writes all slots bound so far; the last
+        // writes the head. Slots are numbered in order of first appearance,
+        // so a step's input is the prefix of slots bound by earlier
+        // subgoals, and `Src::Slot` indexes it directly.
         let n = steps.len();
         for (i, step) in steps.iter_mut().enumerate() {
             let output: Vec<usize> = if i + 1 == n {
                 head.clone()
             } else {
-                (0..origin.len()).filter(|&s| origin[s].0 <= i && last[s] > Some(i)).collect()
+                (0..origin.len()).filter(|&s| origin[s].0 <= i).collect()
             };
-            let col = |s: usize| input.iter().position(|&t| t == s).expect("a read slot is live");
-            for (_, s) in &mut step.key {
-                *s = col(*s);
-            }
-            for c in &mut step.cross {
-                for src in [&mut c.left, &mut c.right] {
-                    if let Src::Slot(s) = src {
-                        *s = col(*s);
-                    }
-                }
-            }
             step.out = output
-                .iter()
-                .map(|&s| if origin[s].0 == i { Src::Pos(origin[s].1) } else { Src::Slot(col(s)) })
+                .into_iter()
+                .map(|s| if origin[s].0 == i { Src::Pos(origin[s].1) } else { Src::Slot(s) })
                 .collect();
-            input = output;
         }
         steps
     }
 }
 
 /// The partial assignments between two join steps, in flat buffers:
-/// partial `k` binds the step's live slots to the row
+/// partial `k` binds the slots of the step's layout to the row
 /// `values[k * width..(k + 1) * width]` and carries one lineage clause,
 /// the atoms `atoms[ends[k]..ends[k + 1]]` (unsorted, possibly
 /// inconsistent).
@@ -525,13 +497,14 @@ impl Partials {
     }
 }
 
-/// One subgoal of a compiled [`ConjunctiveQuery`]. Its partials come in a
-/// layout of live slots; `Src::Slot` and key columns index that layout.
+/// One subgoal of a compiled [`ConjunctiveQuery`]. Its input partials
+/// bind the slots of earlier subgoals, which `Src::Slot` and key slots
+/// index.
 struct Step<'q> {
     relation: &'q str,
     /// Checks that read only the scanned tuple and constants.
     local: Vec<Check<'q>>,
-    /// The probe key: `(position, column)` for each position holding a
+    /// The probe key: `(position, slot)` for each position holding a
     /// variable bound by an earlier subgoal.
     key: Vec<(usize, usize)>,
     /// Predicates that read a slot bound by an earlier subgoal.
@@ -544,7 +517,7 @@ struct Step<'q> {
 /// Where a [`Check`] operand is read from.
 #[derive(Clone, Copy)]
 enum Src<'q> {
-    /// A column of the candidate partial.
+    /// A slot of the candidate partial.
     Slot(usize),
     /// A position of the scanned tuple.
     Pos(usize),

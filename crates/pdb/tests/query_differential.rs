@@ -69,14 +69,16 @@ fn value(column: &str, x: i64) -> Value {
 }
 
 /// One to five blocks of two or three alternatives (one for tables that
-/// are not BID), values in `0..DOMAIN`. The alternatives of a block share
-/// their first column, the block key, so a self-join on the key pairs
-/// alternatives of one block. Block probabilities stay below 1.
+/// are not BID), values in `0..DOMAIN`, or, one time in five, no rows at
+/// all. The alternatives of a block share their first column, the block
+/// key, so a self-join on the key pairs alternatives of one block. Block
+/// probabilities stay below 1.
 fn table(kind: Kind, columns: &'static [&'static str]) -> impl Strategy<Value = Blocks> {
     let width = if kind == Kind::Bid { 2..4 } else { 1..2 };
     let row = (prop::collection::vec(0..DOMAIN, columns.len()), 0.05f64..0.3);
     let block = prop::collection::vec(row, width);
-    prop::collection::vec(block, 1..6).prop_map(move |blocks| {
+    (0..5, prop::collection::vec(block, 1..6)).prop_map(move |(k, blocks)| {
+        let blocks = if k == 0 { Vec::new() } else { blocks };
         blocks
             .into_iter()
             .map(|block| {
