@@ -68,7 +68,7 @@ mod hardness;
 mod router;
 mod scheduler;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dtree::{CacheStats, SubformulaCache};
@@ -550,17 +550,18 @@ impl ClusterEngine {
         plan: Plan,
     ) -> (ClusterBatchResult, Vec<Option<ResumableConfidence>>) {
         let n = lineages.len();
-        // Featurize and score scheduled items only — the others are neither
-        // run nor observed, so their features are never read.
-        let by_hardness = plan.scores.is_none();
-        let mut scores = plan.scores.unwrap_or_else(|| vec![0.0; n]);
-        let mut features: Vec<LineageFeatures> = vec![LineageFeatures::default(); n];
-        for &i in &plan.work {
-            features[i] = LineageFeatures::of(lineages[i]);
-            if by_hardness {
-                scores[i] = self.estimator.score_features(&features[i]);
+        // Featurize scheduled items up front only when the features score
+        // them (a plain batch); otherwise the scheduler extracts an item's
+        // features where they are read, and resumed items never need them.
+        let features: Vec<OnceLock<LineageFeatures>> = (0..n).map(|_| OnceLock::new()).collect();
+        let scores = plan.scores.unwrap_or_else(|| {
+            let mut scores = vec![0.0; n];
+            for &i in &plan.work {
+                let f = features[i].get_or_init(|| LineageFeatures::of(lineages[i]));
+                scores[i] = self.estimator.score_features(f);
             }
-        }
+            scores
+        });
         let queues: Vec<Vec<usize>> = if self.shards == 1 {
             // Nothing to route: skip per-lineage fingerprinting so the
             // 1-shard cluster stays close to the plain engine on warm,
@@ -966,6 +967,90 @@ mod tests {
             assert_eq!(b.elapsed, Duration::ZERO);
         }
         assert!((0..lineages.len()).all(|i| pool.get(i).is_some()));
+    }
+
+    /// Maintenance extracts an item's features only where they are read —
+    /// a fresh run's calibration. The estimator must end up exactly where an
+    /// eager pass over every scheduled item would have left it: one
+    /// observation per fresh execution, each of the item's whole current
+    /// lineage, so a following batch orders its queue as before.
+    #[test]
+    fn maintenance_observes_each_fresh_run_and_calibrates_as_an_eager_pass() {
+        let o = obs::Obs::enabled();
+        let (mut space, mut lineages) = streaming_fixture();
+        let cluster = ClusterEngine::new(ConfidenceMethod::DTreeExact)
+            .with_shards(1)
+            .with_budget(ConfidenceBudget { timeout: None, max_work: Some(4) })
+            .with_obs(&o);
+        let reference = HardnessEstimator::new();
+        let mut pool = ResumablePool::new(16);
+        let mut fresh = 0;
+        for round in 0..4 {
+            let mut deltas: Vec<Option<events::LineageDelta>> = vec![None; lineages.len()];
+            if round > 0 {
+                // Grow item 0 by one clause over a fresh variable...
+                let t = space.add_bool(format!("t{round}"), 0.4);
+                let old = lineages[0].clauses()[0].vars().next().expect("chain variable");
+                let grown = lineages[0].or(&Dnf::from_clauses(vec![Clause::from_bools(&[old, t])]));
+                deltas[0] = events::LineageDelta::between(&lineages[0], &grown);
+                lineages[0] = grown;
+                // ...and add a new item, which runs fresh.
+                let vars: Vec<_> = (0..16)
+                    .map(|j| space.add_bool(format!("n{round}.{j}"), 0.2 + 0.03 * j as f64))
+                    .collect();
+                lineages.push(Dnf::from_clauses(
+                    vars.windows(2).map(Clause::from_bools).collect::<Vec<_>>(),
+                ));
+                deltas.push(None);
+            }
+            let pooled: Vec<bool> = (0..lineages.len()).map(|i| pool.contains(i)).collect();
+            let out = cluster.maintain_batch(&lineages, &deltas, &space, None, &mut pool);
+            let executed: usize = out.shards.iter().map(|s| s.executed).sum();
+            let fresh_items: Vec<usize> = (0..lineages.len()).filter(|&i| !pooled[i]).collect();
+            assert_eq!(executed - out.total_resumed(), fresh_items.len(), "round {round}");
+            // One shard runs fresh items (all scored 1.0) in index order.
+            for &i in &fresh_items {
+                let stats = out.results[i].stats.as_ref().expect("d-tree runs export stats");
+                reference.observe(&LineageFeatures::of(&lineages[i]), stats);
+            }
+            fresh += fresh_items.len() as u64;
+        }
+        assert_eq!(fresh, 3 + 3, "three initial items, then one new item per round");
+        assert_eq!(o.counter("cluster.hardness.observations").get(), fresh);
+        assert_eq!(cluster.estimator().observations(), fresh);
+
+        let calibrated: Vec<f64> = lineages.iter().map(|l| cluster.estimator().score(l)).collect();
+        let expected: Vec<f64> = lineages.iter().map(|l| reference.score(l)).collect();
+        let neutral: Vec<f64> =
+            lineages.iter().map(|l| HardnessEstimator::new().score(l)).collect();
+        assert_eq!(
+            calibrated.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            expected.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert_ne!(calibrated, neutral, "the rounds moved the calibration");
+        let order = |scores: &[f64]| {
+            let mut queue: Vec<usize> = (0..scores.len()).collect();
+            SchedulePolicy::HardestFirst.order(&mut queue, scores);
+            queue
+        };
+        assert_ne!(order(&expected), order(&neutral), "calibration reorders the next batch");
+
+        // The next batch runs its one queue in exactly that order.
+        let seen = |o: &obs::Obs| o.snapshot().expect("enabled").events.last().map_or(0, |e| e.seq);
+        let before = seen(&o);
+        cluster.confidence_batch(&lineages, &space, None);
+        let ran: Vec<usize> = o
+            .snapshot()
+            .expect("enabled")
+            .events
+            .iter()
+            .filter(|e| e.seq > before && e.kind == "engine.item")
+            .map(|e| match e.fields.iter().find(|(k, _)| k == "index") {
+                Some((_, obs::FieldValue::U64(i))) => *i as usize,
+                other => panic!("engine.item without an index: {other:?}"),
+            })
+            .collect();
+        assert_eq!(ran, order(&expected));
     }
 
     /// Space invalidation between rounds poisons every pooled frontier; the

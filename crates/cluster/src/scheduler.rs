@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use dtree::SubformulaCache;
@@ -135,7 +135,9 @@ pub(crate) struct RunContext<'a> {
     pub lineages: &'a [&'a Dnf],
     pub space: &'a ProbabilitySpace,
     pub origins: Option<&'a VarOrigins>,
-    pub features: &'a [LineageFeatures],
+    /// Per-item structural features, filled up front only when they scored
+    /// the batch; read them through [`RunContext::features`].
+    pub features: &'a [OnceLock<LineageFeatures>],
     pub scores: &'a [f64],
     pub engine: &'a ConfidenceEngine,
     pub estimator: &'a HardnessEstimator,
@@ -160,6 +162,17 @@ pub(crate) struct RunContext<'a> {
     /// deterministically dying again. [`Fault::disabled`] — the default —
     /// makes the check a free no-op.
     pub fault: &'a Fault,
+}
+
+impl RunContext<'_> {
+    /// Item `i`'s structural features. Only two places read them — a fresh
+    /// run's calibration and a refinement round's re-score — so an item
+    /// whose features did not score the batch (a maintenance round scores
+    /// by width regression) has them extracted at first read, on the thread
+    /// that needs them, and never when it only resumes a pooled frontier.
+    pub fn features(&self, i: usize) -> &LineageFeatures {
+        self.features[i].get_or_init(|| LineageFeatures::of(self.lineages[i]))
+    }
 }
 
 /// One item's suspended-frontier slot: the handle (if any run parked one)
@@ -290,7 +303,7 @@ pub(crate) fn execute(
                 // round actually shrinks — with the structural score as a
                 // tiebreaker between items of similar width.
                 let width = slot.as_ref().map(|r| r.upper - r.lower).unwrap_or(1.0);
-                scores[i] = ctx.estimator.refinement_score(&ctx.features[i], width);
+                scores[i] = ctx.estimator.refinement_score(ctx.features(i), width);
             }
         }
         if !any {
@@ -581,7 +594,7 @@ fn run_one(
         ctx.engine.compute_item(ctx.lineages[i], ctx.space, ctx.origins, i, item_deadline, cache)
     };
     if let Some(stats) = &r.stats {
-        ctx.estimator.observe(&ctx.features[i], stats);
+        ctx.estimator.observe(ctx.features(i), stats);
     }
     (r, false, false)
 }
@@ -720,7 +733,7 @@ mod tests {
             (0..5).map(|i| Clause::from_bools(&[vars[i], vars[i + 1]])).collect::<Vec<_>>(),
         );
         let lineages = vec![&lineage];
-        let features = vec![LineageFeatures::of(&lineage)];
+        let features = vec![OnceLock::new()];
         let scores = vec![1.0];
         let engine = ConfidenceEngine::new(ConfidenceMethod::DTreeAbsolute(1e-6)).with_threads(1);
         let estimator = HardnessEstimator::new();

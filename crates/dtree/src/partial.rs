@@ -12,7 +12,7 @@
 //! manipulation instead of clause-vector copies.
 
 use events::ProbabilitySpace;
-use events::{product_factorization_by, Atom, Clause, Dnf, DnfView, LineageArena};
+use events::{product_factorization_by, Atom, Clause, Dnf, DnfView, LineageArena, VarId};
 
 use crate::bounds::{dnf_bounds_view, Bounds};
 use crate::cache::Memo;
@@ -193,19 +193,20 @@ impl PartialDTree {
         }
     }
 
-    /// Collects the variables mentioned anywhere in the subtree rooted at
-    /// `id`. Every leaf keeps its view (exact folds included), so the union
-    /// of leaf variables equals the variables of the subtree's formula.
-    pub(crate) fn subtree_vars(
-        &self,
-        id: PartialNodeId,
-        out: &mut std::collections::BTreeSet<events::VarId>,
-    ) {
+    /// Calls `f` with the variable of every atom in the subtree rooted at
+    /// `id` (a variable repeats once per occurrence). Every leaf keeps its
+    /// view (exact folds included), so these are the variables of the
+    /// subtree's formula.
+    pub(crate) fn for_each_subtree_var(&self, id: PartialNodeId, f: &mut impl FnMut(VarId)) {
         match self.node(id) {
-            PNode::Leaf { view, .. } => out.extend(view.vars(&self.lineage)),
+            PNode::Leaf { view, .. } => {
+                for i in 0..view.len() {
+                    view.clause(&self.lineage, i).for_each(|a| f(a.var));
+                }
+            }
             PNode::Inner { children, .. } => {
                 for &c in children {
-                    self.subtree_vars(c, out);
+                    self.for_each_subtree_var(c, f);
                 }
             }
         }

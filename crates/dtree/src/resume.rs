@@ -45,7 +45,7 @@
 //! handle is poisoned permanently. Append-only growth (same generation,
 //! higher watermark) is safe and the handle keeps working.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 use events::{Atom, Clause, Dnf, LineageArena, ProbabilitySpace, VarId};
@@ -201,16 +201,19 @@ pub struct ResumableCompilation {
     curve: Vec<(usize, f64)>,
     deltas_applied: usize,
     dirty_rebuilds: usize,
-    /// Lazily filled per-node subtree variable sets, consulted by ⊗ routing.
-    /// Walking a subtree per appended clause is O(tree); the cache makes
-    /// routing O(depth) amortized: an entry is computed on first lookup and
-    /// then maintained incrementally — every clause routed through a node
-    /// extends that node's entry with the clause's variables. Refinement
-    /// never changes a subtree's variable set (decomposition preserves the
-    /// formula), so entries survive `resume` slices; entries of subtrees
-    /// orphaned by a dirty rebuild go stale but are unreachable from the
-    /// root and never consulted again.
-    subtree_vars: BTreeMap<usize, BTreeSet<VarId>>,
+    /// Per ⊗ node, the child that owns each variable — the index ⊗ routing
+    /// reads, so an appended clause costs O(|clause|) lookups per ⊗ level
+    /// instead of a scan over every component. A node's map is built from
+    /// its children's subtree variables on the first clause routed through
+    /// it, then extended with the variables of every clause routed into a
+    /// child or grown as a new one. It is dropped when the node is dirty
+    /// rebuilt: the node becomes a leaf whose id a later refinement may turn
+    /// into a new inner node with new children. Refinement can drop
+    /// variables from a subtree (subsumption), and a clause subsumed at a ⊙
+    /// node leaves its extra variables behind, so a map may list more
+    /// variables than the subtree still mentions; see the ⊗ rule in
+    /// [`ResumableCompilation::route_or`] for why that is harmless.
+    or_owners: HashMap<usize, HashMap<VarId, usize>>,
     /// Write-only observability handles; never read back, so attached
     /// metrics cannot perturb results (see [`ResumableCompilation::attach_obs`]).
     obs: ResumeObs,
@@ -293,7 +296,7 @@ impl ResumableCompilation {
             curve: Vec::new(),
             deltas_applied: 0,
             dirty_rebuilds: 0,
-            subtree_vars: BTreeMap::new(),
+            or_owners: HashMap::new(),
             obs: ResumeObs::default(),
         };
         let root = handle.root_index();
@@ -742,45 +745,19 @@ impl ResumableCompilation {
     /// [`ResumableCompilation::apply_delta`] for the rules.
     fn route_clause(&mut self, node: usize, clause: &Clause, space: &ProbabilitySpace) {
         use crate::partial::Op;
-        // The clause's variables join this subtree's formula (stripping at
-        // ⊙/⊕ only removes atoms the subtree already binds), so extending a
-        // cached variable set keeps it sound. The one exception — a clause
-        // subsumed at a ⊙ node binding extra variables — leaves a harmless
-        // superset: a stale variable can only force a conservative dirty
-        // rebuild or route a genuinely fresh clause into one component,
-        // never break the independence the ⊗ bounds rely on.
-        if let Some(vars) = self.subtree_vars.get_mut(&node) {
-            vars.extend(clause.vars());
-        }
         let (op, kids) = match self.tree.node(PartialNodeId(node)) {
             PNode::Leaf { .. } => {
                 self.touch_leaf(node, clause, space);
                 return;
             }
+            // ⊗ routing reads the node's owner map, not its children.
+            PNode::Inner { op: Op::Or, .. } => (Op::Or, Vec::new()),
             PNode::Inner { op, children } => {
                 (*op, children.iter().map(|c| c.0).collect::<Vec<usize>>())
             }
         };
         match op {
-            Op::Or => {
-                let clause_vars: BTreeSet<VarId> = clause.vars().collect();
-                let mut hit = None;
-                let mut hits = 0;
-                for &k in &kids {
-                    if self.subtree_overlaps(k, &clause_vars) {
-                        hits += 1;
-                        hit = Some(k);
-                    }
-                }
-                match hits {
-                    // Entirely fresh variables (or a constant clause): a new
-                    // independent component.
-                    0 => self.grow_or_child(node, clause, space),
-                    1 => self.route_clause(hit.expect("hits == 1"), clause, space),
-                    // The clause bridges components: the partition is broken.
-                    _ => self.dirty_rebuild(node, clause, space),
-                }
-            }
+            Op::Or => self.route_or(node, clause, space),
             Op::And => {
                 // Factored-out atoms (exact singleton-atom leaves) the clause
                 // also binds can be stripped; the remainder routes into the
@@ -855,17 +832,53 @@ impl ResumableCompilation {
         }
     }
 
-    /// `true` when the subtree at `k` mentions any of `vars`, consulting —
-    /// and on a miss, filling — the per-node subtree-variable cache. The
-    /// first lookup at a node pays the O(subtree) walk once; later deltas
-    /// hit the incrementally maintained set.
-    fn subtree_overlaps(&mut self, k: usize, vars: &BTreeSet<VarId>) -> bool {
-        if !self.subtree_vars.contains_key(&k) {
-            let mut set = BTreeSet::new();
-            self.tree.subtree_vars(PartialNodeId(k), &mut set);
-            self.subtree_vars.insert(k, set);
+    /// The ⊗ rule: the clause joins the one component owning any of its
+    /// variables, grows a new component when no component owns one (fresh
+    /// variables, or a constant clause), and dirty-rebuilds the node when
+    /// it bridges two components.
+    ///
+    /// Owner maps only ever gain variables, so a map can hold a variable its
+    /// component no longer mentions. Such a stale owner can only force a
+    /// conservative dirty rebuild or route a genuinely fresh clause into one
+    /// component; it never routes a clause around a component it shares a
+    /// variable with, so the independence the ⊗ bounds rely on holds.
+    fn route_or(&mut self, node: usize, clause: &Clause, space: &ProbabilitySpace) {
+        let tree = &self.tree;
+        let owners = self.or_owners.entry(node).or_insert_with(|| {
+            let mut owners = HashMap::new();
+            if let PNode::Inner { children, .. } = tree.node(PartialNodeId(node)) {
+                for &k in children {
+                    tree.for_each_subtree_var(k, &mut |v| {
+                        let previous = owners.insert(v, k.0);
+                        debug_assert!(
+                            previous.is_none_or(|p| p == k.0),
+                            "⊗ components share {v:?}"
+                        );
+                    });
+                }
+            }
+            owners
+        });
+        let mut hit = None;
+        for v in clause.vars() {
+            if let Some(&k) = owners.get(&v) {
+                if hit.is_some_and(|h| h != k) {
+                    // The clause bridges components: the partition is broken.
+                    self.dirty_rebuild(node, clause, space);
+                    return;
+                }
+                hit = Some(k);
+            }
         }
-        !self.subtree_vars[&k].is_disjoint(vars)
+        let child = match hit {
+            Some(k) => k,
+            None => self.grow_or_child(node, clause, space),
+        };
+        let owners = self.or_owners.get_mut(&node).expect("built above");
+        owners.extend(clause.vars().map(|v| (v, child)));
+        if hit.is_some() {
+            self.route_clause(child, clause, space);
+        }
     }
 
     /// The Shannon variable of an ⊕ node, read off the first branch's atom
@@ -907,10 +920,11 @@ impl ResumableCompilation {
     }
 
     /// Grows a fresh independent component under an ⊗ node for a clause over
-    /// entirely new variables.
-    fn grow_or_child(&mut self, or: usize, clause: &Clause, space: &ProbabilitySpace) {
+    /// entirely new variables; returns the new child.
+    fn grow_or_child(&mut self, or: usize, clause: &Clause, space: &ProbabilitySpace) -> usize {
         let child = self.tree.push_dnf_leaf(&Dnf::singleton(clause.clone()), space);
         self.attach_new_subtree(or, child.0);
+        child.0
     }
 
     /// Grows an ⊕ branch `⊙(v=value, {rest})` for a domain value whose
@@ -962,6 +976,7 @@ impl ResumableCompilation {
         formula.push(clause.clone());
         let dnf = Dnf::from_clauses(formula);
         self.tree.replace_with_leaf(PartialNodeId(node), &dnf, space);
+        self.or_owners.remove(&node);
         self.dirty_rebuilds += 1;
         self.reopen_leaf(node);
     }
@@ -1335,6 +1350,125 @@ mod tests {
         let r = handle.resume(&s, ResumeBudget::unlimited(), None);
         assert!(!r.converged);
         assert_eq!((r.lower, r.upper), (0.0, 1.0));
+    }
+
+    /// Five independent islands `x₃ₖx₃ₖ₊₁ ∨ x₃ₖ₊₁x₃ₖ₊₂`: 15 variables are
+    /// too many to fold exactly at the root, and the shared middle variable
+    /// keeps the root's bucket bounds loose, so the run splits it into an ⊗
+    /// node over five exactly folded islands. Variable `i` has probability
+    /// `p(i) = 0.1 + 0.05·i`.
+    fn or_of_islands() -> (ProbabilitySpace, Vec<VarId>, ResumableCompilation) {
+        let (s, x) = bool_space(&(0..15).map(p).collect::<Vec<_>>());
+        let phi = Dnf::from_clauses(
+            (0..5)
+                .flat_map(|k| [&x[3 * k..3 * k + 2], &x[3 * k + 1..3 * k + 3]])
+                .map(Clause::from_bools)
+                .collect::<Vec<_>>(),
+        );
+        let compiler = ApproxCompiler::new(ApproxOptions::absolute(1e-12));
+        let (first, handle) = compiler.run_resumable(&phi, &s, None);
+        assert!(first.converged);
+        assert_eq!(or_children(&handle), Some(5), "the root is an ⊗ over the islands");
+        (s, x, handle)
+    }
+
+    fn p(i: usize) -> f64 {
+        0.1 + 0.05 * i as f64
+    }
+
+    /// Probability of island `k`: `x₃ₖ₊₁ (x₃ₖ ∨ x₃ₖ₊₂)`.
+    fn island(k: usize) -> f64 {
+        p(3 * k + 1) * any(&[p(3 * k), p(3 * k + 2)])
+    }
+
+    /// The number of children when the root is an ⊗ node.
+    fn or_children(handle: &ResumableCompilation) -> Option<usize> {
+        match handle.tree.node(handle.tree.root_id()) {
+            PNode::Inner { op: crate::partial::Op::Or, children } => Some(children.len()),
+            _ => None,
+        }
+    }
+
+    /// `1 − Π (1 − pₖ)`: the probability that any of independent events
+    /// holds.
+    fn any(ps: &[f64]) -> f64 {
+        1.0 - ps.iter().map(|q| 1.0 - q).product::<f64>()
+    }
+
+    /// Resumes to completion and checks the point the bounds close on.
+    fn converges_to(handle: &mut ResumableCompilation, s: &ProbabilitySpace, want: f64) {
+        assert!(handle.bounds().contains(want), "{:?} misses {want}", handle.bounds());
+        let r = handle.resume(s, ResumeBudget::unlimited(), None);
+        assert!(r.converged);
+        assert!(
+            (r.lower - want).abs() < 1e-12 && (r.upper - want).abs() < 1e-12,
+            "{r:?} vs {want}"
+        );
+    }
+
+    #[test]
+    fn or_routing_grows_a_component_for_fresh_variables() {
+        let (mut s, _, mut handle) = or_of_islands();
+        let f = s.add_bool("f", 0.6);
+        let g = s.add_bool("g", 0.7);
+        assert!(handle.apply_delta(&s, &[Clause::from_bools(&[f, g])]));
+        assert_eq!(or_children(&handle), Some(6), "a sixth component");
+        assert_eq!((handle.dirty_rebuilds(), handle.deltas_applied()), (0, 1));
+        let mut ps: Vec<f64> = (0..5).map(island).collect();
+        ps.push(0.6 * 0.7);
+        converges_to(&mut handle, &s, any(&ps));
+
+        // The grown component now owns `f`: a clause over `f` and a fresh
+        // variable joins it instead of growing a seventh.
+        let h = s.add_bool("h", 0.2);
+        assert!(handle.apply_delta(&s, &[Clause::from_bools(&[f, h])]));
+        assert_eq!(or_children(&handle), Some(6));
+        assert_eq!((handle.dirty_rebuilds(), handle.deltas_applied()), (0, 2));
+        ps[5] = 0.6 * any(&[0.7, 0.2]);
+        converges_to(&mut handle, &s, any(&ps));
+    }
+
+    #[test]
+    fn or_routing_sends_a_one_component_clause_into_that_component() {
+        let (mut s, x, mut handle) = or_of_islands();
+        let w = s.add_bool("w", 0.5);
+        assert!(handle.apply_delta(&s, &[Clause::from_bools(&[x[4], w])]));
+        assert_eq!(or_children(&handle), Some(5), "no component grown or merged");
+        assert_eq!((handle.dirty_rebuilds(), handle.deltas_applied()), (0, 1));
+        // Island 1 becomes x₃x₄ ∨ x₄x₅ ∨ x₄w = x₄ (x₃ ∨ x₅ ∨ w).
+        let mut ps: Vec<f64> = (0..5).map(island).collect();
+        ps[1] = p(4) * any(&[p(3), p(5), 0.5]);
+        converges_to(&mut handle, &s, any(&ps));
+    }
+
+    #[test]
+    fn or_routing_rebuilds_on_a_bridge_and_routes_through_the_re_refined_node() {
+        let (mut s, x, mut handle) = or_of_islands();
+        // x₀ ∧ x₃ bridges islands 0 and 1: the root collapses into one leaf.
+        assert!(handle.apply_delta(&s, &[Clause::from_bools(&[x[0], x[3]])]));
+        assert_eq!(or_children(&handle), None, "the root is a leaf again");
+        assert_eq!((handle.dirty_rebuilds(), handle.deltas_applied()), (1, 1));
+        // Conditioning on x₀ and x₃, the merged island is true, x₁ ∨ x₄x₅,
+        // x₄ ∨ x₁x₂, or x₁x₂ ∨ x₄x₅.
+        let (x0, x3) = (p(0), p(3));
+        let merged = x0 * x3
+            + x0 * (1.0 - x3) * any(&[p(1), p(4) * p(5)])
+            + (1.0 - x0) * x3 * any(&[p(4), p(1) * p(2)])
+            + (1.0 - x0) * (1.0 - x3) * any(&[p(1) * p(2), p(4) * p(5)]);
+        let mut ps = vec![merged, island(2), island(3), island(4)];
+        converges_to(&mut handle, &s, any(&ps));
+        assert_eq!(or_children(&handle), Some(4), "re-refined into a new ⊗ node");
+
+        // The same node id is an ⊗ node again, over new children: a clause
+        // on island 3 must reach island 3's new leaf.
+        let v = s.add_bool("v", 0.4);
+        assert!(handle.apply_delta(&s, &[Clause::from_bools(&[x[9], v])]));
+        assert_eq!(or_children(&handle), Some(4));
+        assert_eq!((handle.dirty_rebuilds(), handle.deltas_applied()), (1, 2));
+        // Island 3 becomes x₉x₁₀ ∨ x₁₀x₁₁ ∨ x₉v: x₁₀ ∨ v when x₉ holds,
+        // x₁₀x₁₁ otherwise.
+        ps[2] = p(9) * any(&[p(10), 0.4]) + (1.0 - p(9)) * p(10) * p(11);
+        converges_to(&mut handle, &s, any(&ps));
     }
 
     #[test]

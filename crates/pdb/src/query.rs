@@ -285,7 +285,9 @@ impl ConjunctiveQuery {
     /// block-independent self-joins produce. The lineage of an answer is
     /// thus the disjunction over satisfying assignments of the conjunction
     /// of the matched tuples' lineages — exactly the DNF whose probability
-    /// is the answer confidence.
+    /// is the answer confidence. A head value whose every assignment
+    /// conjoins two alternatives of one block has the empty lineage: it is
+    /// in no possible world, so it is not an answer.
     ///
     /// # Panics
     ///
@@ -356,6 +358,7 @@ impl ConjunctiveQuery {
                     group.iter().map(|&k| Clause::from_atoms(partials.atoms(k).iter().copied())),
                 ),
             })
+            .filter(|answer| !answer.lineage.is_empty())
             .collect()
     }
 

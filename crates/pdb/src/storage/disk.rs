@@ -364,9 +364,11 @@ impl DiskStore {
     /// Rewrites the WAL without its row records — the memtable is empty and
     /// every logged row is covered by a manifest-referenced run, so only the
     /// metadata records (epochs, variables, tables) plus a
-    /// [`WalRecord::Watermark`] pinning `next_seq` need to survive. The new
-    /// log is written to a temporary file, fsynced, and atomically renamed
-    /// over `wal.log`; a crash at any point leaves one complete log.
+    /// [`WalRecord::Watermark`] pinning `next_seq` need to survive. The
+    /// metadata frames are copied verbatim in one write
+    /// ([`Wal::append_metadata_of`]); the new log is written to a temporary
+    /// file, fsynced, and atomically renamed over `wal.log`; a crash at any
+    /// point leaves one complete log.
     fn rotate_wal(&mut self) -> Result<(), StorageError> {
         let old_bytes = self.wal.len();
         // The rewrite is idempotent (it reads whatever `wal.log` currently
@@ -375,18 +377,13 @@ impl DiskStore {
         // temporary log itself.
         self.retried(|s| {
             s.fault.check("storage.rotate")?;
-            let records = Wal::replay(s.wal.path())?;
             let tmp = s.dir.join("wal.log.tmp");
             // A crashed rotation can leave a stale tmp file; `Wal::open`
             // appends, so clear it first.
             let _ = std::fs::remove_file(&tmp);
             let mut fresh = Wal::open(&tmp)?;
             fresh.attach_fault(&s.fault);
-            for rec in &records {
-                if !matches!(rec, WalRecord::Row { .. } | WalRecord::Watermark { .. }) {
-                    fresh.append(rec)?;
-                }
-            }
+            fresh.append_metadata_of(s.wal.path())?;
             fresh.append(&WalRecord::Watermark { next_seq: s.next_seq })?;
             fresh.sync()?;
             drop(fresh);

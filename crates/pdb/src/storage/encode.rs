@@ -130,10 +130,14 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, StorageError> {
+        self.str().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, without copying it.
+    pub fn str(&mut self) -> Result<&'a str, StorageError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StorageError::corrupt("non-UTF-8 string payload"))
+        std::str::from_utf8(bytes).map_err(|_| StorageError::corrupt("non-UTF-8 string payload"))
     }
 
     /// Reads a [`Value`].
@@ -148,10 +152,10 @@ impl<'a> Cursor<'a> {
     /// Reads a lineage DNF.
     pub fn dnf(&mut self) -> Result<Dnf, StorageError> {
         let n = self.u32()? as usize;
-        let mut clauses = Vec::with_capacity(n);
+        let mut clauses = Vec::with_capacity(n.min(self.remaining() / 4));
         for _ in 0..n {
             let atoms = self.u32()? as usize;
-            let mut clause = Vec::with_capacity(atoms);
+            let mut clause = Vec::with_capacity(atoms.min(self.remaining() / 8));
             for _ in 0..atoms {
                 let var = VarId(self.u32()?);
                 let value = self.u32()?;
@@ -167,7 +171,7 @@ impl<'a> Cursor<'a> {
 pub fn decode_tuple(payload: &[u8]) -> Result<AnnotatedTuple, StorageError> {
     let mut cur = Cursor::new(payload);
     let arity = cur.u32()? as usize;
-    let mut values = Vec::with_capacity(arity);
+    let mut values = Vec::with_capacity(arity.min(cur.remaining()));
     for _ in 0..arity {
         values.push(cur.value()?);
     }
@@ -252,6 +256,18 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode_tuple(&extended).is_err(), "trailing bytes must fail");
+    }
+
+    #[test]
+    fn corrupt_counts_fail_without_reserving_them() {
+        let tuple = AnnotatedTuple::new(vec![Value::Int(1)], Dnf::literal(VarId(2)));
+        let bytes = encode_tuple(&tuple);
+        // Arity, clause count, and atom count, each overwritten with 2^32 - 1.
+        for at in [0, 13, 17] {
+            let mut p = bytes.clone();
+            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_tuple(&p).is_err(), "count at byte {at}");
+        }
     }
 
     #[test]

@@ -15,12 +15,22 @@
 //!
 //! After a full memtable flush every logged row is durable in a
 //! manifest-referenced run, so [`crate::storage::DiskStore`] rewrites the
-//! log without its [`WalRecord::Row`] records: the metadata records
+//! log without its [`WalRecord::Row`] records: the metadata frames
 //! (epochs, variables, tables) are copied in order to a temporary file,
 //! a [`WalRecord::Watermark`] pins the next sequence number, and an atomic
 //! rename swaps the truncated log in. A crash at any point leaves either
 //! the old complete log or the new truncated one — never a mix — and
 //! replay of either recovers the same store.
+//!
+//! The copy (`Wal::append_metadata_of`) never decodes a record into
+//! owned values: it walks the durable frames exactly as replay does
+//! (length, CRC, and a validating pass over the payload that allocates
+//! nothing), gathers the metadata frames verbatim into one buffer, and
+//! writes it with a single `write`. The rotated log is byte-identical to
+//! appending the decoded records one by one. What the rotation still
+//! costs is the copy itself: every flush rewrites every metadata byte
+//! logged so far, so it is O(metadata bytes) per flush, and the bytes
+//! written per stored tuple grow with the number of variables.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -30,6 +40,13 @@ use crate::fault::Fault;
 use crate::relation::Schema;
 use crate::storage::encode::{crc32, put_f64, put_str, put_u32, put_u64, Cursor};
 use crate::storage::StorageError;
+
+/// Record tags: the first payload byte of every frame.
+const EPOCH: u8 = 0;
+const VARIABLE: u8 = 1;
+const TABLE: u8 = 2;
+const ROW: u8 = 3;
+const WATERMARK: u8 = 4;
 
 /// One durable state change. See the module docs for framing.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,11 +103,11 @@ impl WalRecord {
         let mut buf = Vec::new();
         match self {
             WalRecord::Epoch { generation } => {
-                buf.push(0);
+                buf.push(EPOCH);
                 put_u64(&mut buf, *generation);
             }
             WalRecord::Variable { name, distribution, origin } => {
-                buf.push(1);
+                buf.push(VARIABLE);
                 put_u32(&mut buf, origin.map_or(u32::MAX, |o| o));
                 put_u32(&mut buf, distribution.len() as u32);
                 for &p in distribution {
@@ -99,7 +116,7 @@ impl WalRecord {
                 put_str(&mut buf, name);
             }
             WalRecord::Table { logical_id, epoch, schema } => {
-                buf.push(2);
+                buf.push(TABLE);
                 put_u32(&mut buf, *logical_id);
                 put_u32(&mut buf, *epoch);
                 put_str(&mut buf, &schema.name);
@@ -109,14 +126,14 @@ impl WalRecord {
                 }
             }
             WalRecord::Row { uid, seq, payload } => {
-                buf.push(3);
+                buf.push(ROW);
                 put_u64(&mut buf, *uid);
                 put_u64(&mut buf, *seq);
                 put_u32(&mut buf, payload.len() as u32);
                 buf.extend_from_slice(payload);
             }
             WalRecord::Watermark { next_seq } => {
-                buf.push(4);
+                buf.push(WATERMARK);
                 put_u64(&mut buf, *next_seq);
             }
         }
@@ -126,46 +143,82 @@ impl WalRecord {
     fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
         let mut cur = Cursor::new(payload);
         let rec = match cur.u8()? {
-            0 => WalRecord::Epoch { generation: cur.u64()? },
-            1 => {
+            EPOCH => WalRecord::Epoch { generation: cur.u64()? },
+            VARIABLE => {
                 let origin = match cur.u32()? {
                     u32::MAX => None,
                     o => Some(o),
                 };
                 let n = cur.u32()? as usize;
-                let mut distribution = Vec::with_capacity(n);
+                // Counts come from the file: never reserve more than the
+                // payload can hold, so a corrupt count fails as corruption.
+                let mut distribution = Vec::with_capacity(n.min(cur.remaining() / 8));
                 for _ in 0..n {
                     distribution.push(cur.f64()?);
                 }
                 let name = cur.string()?;
                 WalRecord::Variable { name, distribution, origin }
             }
-            2 => {
+            TABLE => {
                 let logical_id = cur.u32()?;
                 let epoch = cur.u32()?;
                 let name = cur.string()?;
                 let n = cur.u32()? as usize;
-                let mut columns = Vec::with_capacity(n);
+                let mut columns = Vec::with_capacity(n.min(cur.remaining() / 4));
                 for _ in 0..n {
                     columns.push(cur.string()?);
                 }
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
                 WalRecord::Table { logical_id, epoch, schema: Schema::new(name, &cols) }
             }
-            3 => {
+            ROW => {
                 let uid = cur.u64()?;
                 let seq = cur.u64()?;
                 let len = cur.u32()? as usize;
                 let payload = cur.bytes(len)?.to_vec();
                 WalRecord::Row { uid, seq, payload }
             }
-            4 => WalRecord::Watermark { next_seq: cur.u64()? },
-            tag => return Err(StorageError::corrupt(format!("unknown WAL record tag {tag}"))),
+            WATERMARK => WalRecord::Watermark { next_seq: cur.u64()? },
+            tag => return Err(unknown_tag(tag)),
         };
-        if cur.remaining() != 0 {
-            return Err(StorageError::corrupt("trailing bytes in WAL record"));
-        }
+        end_of_record(&cur)?;
         Ok(rec)
+    }
+
+    /// Validates `payload` exactly as [`WalRecord::decode`] would — same
+    /// fields, same UTF-8 and trailing-byte checks — without building the
+    /// record, and returns its tag. Allocates nothing unless it fails.
+    fn check(payload: &[u8]) -> Result<u8, StorageError> {
+        let mut cur = Cursor::new(payload);
+        let tag = cur.u8()?;
+        match tag {
+            EPOCH | WATERMARK => {
+                cur.u64()?;
+            }
+            VARIABLE => {
+                cur.u32()?;
+                let n = cur.u32()? as usize;
+                cur.bytes(n.saturating_mul(8))?;
+                cur.str()?;
+            }
+            TABLE => {
+                cur.u32()?;
+                cur.u32()?;
+                cur.str()?;
+                for _ in 0..cur.u32()? {
+                    cur.str()?;
+                }
+            }
+            ROW => {
+                cur.u64()?;
+                cur.u64()?;
+                let len = cur.u32()? as usize;
+                cur.bytes(len)?;
+            }
+            tag => return Err(unknown_tag(tag)),
+        }
+        end_of_record(&cur)?;
+        Ok(tag)
     }
 
     /// The exact number of bytes this record occupies in the log, frame
@@ -173,6 +226,63 @@ impl WalRecord {
     /// parsing the file.
     pub fn framed_len(&self) -> u64 {
         8 + self.encode().len() as u64
+    }
+}
+
+fn unknown_tag(tag: u8) -> StorageError {
+    StorageError::corrupt(format!("unknown WAL record tag {tag}"))
+}
+
+fn end_of_record(cur: &Cursor<'_>) -> Result<(), StorageError> {
+    if cur.remaining() != 0 {
+        return Err(StorageError::corrupt("trailing bytes in WAL record"));
+    }
+    Ok(())
+}
+
+/// The fully durable frames at the start of a log image, in order, each
+/// with its 8-byte header. A frame is durable when its payload fits the
+/// image and matches its CRC; the walk ends at the first frame that does
+/// not (a torn tail), and `end` is then the length of the durable prefix.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    end: usize,
+}
+
+impl<'a> Frames<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Frames { bytes, end: 0 }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.end..];
+        if rest.len() < 8 {
+            return None;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        if rest.len() - 8 < len {
+            return None; // torn payload
+        }
+        let frame = &rest[..8 + len];
+        if crc32(&frame[8..]) != crc {
+            return None; // torn or corrupted frame
+        }
+        self.end += frame.len();
+        Some(frame)
+    }
+}
+
+/// The bytes of the log at `path` (empty when there is no log yet).
+fn read_log(path: &Path) -> Result<Vec<u8>, StorageError> {
+    match std::fs::read(path) {
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -216,12 +326,7 @@ impl Wal {
     /// replay's CRC check skips, and the next append's frame header starts
     /// wherever the file ends.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), StorageError> {
-        if self.torn {
-            return Err(StorageError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "write-ahead log has a torn tail; reopen the store to recover",
-            )));
-        }
+        self.fail_if_torn()?;
         self.fault.check("wal.append")?;
         let payload = rec.encode();
         let mut frame = Vec::with_capacity(8 + payload.len());
@@ -229,13 +334,61 @@ impl Wal {
         put_u32(&mut frame, crc32(&payload));
         frame.extend_from_slice(&payload);
         if let Some(keep) = self.fault.torn("wal.append", frame.len()) {
-            self.file.write_all(&frame[..keep])?;
-            self.torn = true;
-            return Err(Fault::torn_error("wal.append"));
+            return self.write_torn(&frame[..keep]);
         }
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
         Ok(())
+    }
+
+    /// Appends every durable metadata frame of the log at `src` — all but
+    /// its [`WalRecord::Row`] and [`WalRecord::Watermark`] records —
+    /// verbatim and in order, with one `write`: the copy step of a rotation.
+    /// The frames are walked as [`Wal::replay`] walks them: a torn tail ends
+    /// the copy, and a CRC-valid frame that does not decode fails it. The
+    /// result is byte-identical to
+    /// [`Wal::append`]ing each replayed metadata record.
+    ///
+    /// Failpoints: `wal.append` is hit once per copied frame, in order, as
+    /// if each were appended on its own, so seeded fault schedules see the
+    /// same hits; a torn write there leaves the frames before it plus a
+    /// strict prefix of the torn one in the file.
+    pub(crate) fn append_metadata_of(&mut self, src: &Path) -> Result<(), StorageError> {
+        self.fail_if_torn()?;
+        let bytes = read_log(src)?;
+        let mut out = Vec::with_capacity(bytes.len());
+        for frame in Frames::new(&bytes) {
+            if matches!(WalRecord::check(&frame[8..])?, ROW | WATERMARK) {
+                continue;
+            }
+            self.fault.check("wal.append")?;
+            if let Some(keep) = self.fault.torn("wal.append", frame.len()) {
+                out.extend_from_slice(&frame[..keep]);
+                return self.write_torn(&out);
+            }
+            out.extend_from_slice(frame);
+        }
+        self.file.write_all(&out)?;
+        self.len += out.len() as u64;
+        Ok(())
+    }
+
+    fn fail_if_torn(&self) -> Result<(), StorageError> {
+        if self.torn {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "write-ahead log has a torn tail; reopen the store to recover",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes the prefix an injected torn write keeps, then fails every
+    /// later append.
+    fn write_torn(&mut self, prefix: &[u8]) -> Result<(), StorageError> {
+        self.file.write_all(prefix)?;
+        self.torn = true;
+        Err(Fault::torn_error("wal.append"))
     }
 
     /// Forces all appended records to stable storage.
@@ -279,33 +432,15 @@ impl Wal {
     /// replay — the frame walk stops at the tear — so the tail must be
     /// discarded before the log accepts new appends.
     pub fn replay_durable(path: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e.into()),
-        };
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while bytes.len() - pos >= 8 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if bytes.len() - pos - 8 < len {
-                break; // torn payload
-            }
-            let payload = &bytes[pos + 8..pos + 8 + len];
-            if crc32(payload) != crc {
-                break; // torn or corrupted frame
-            }
-            match WalRecord::decode(payload) {
-                Ok(rec) => records.push(rec),
-                // A CRC-valid but undecodable payload is genuine corruption,
-                // not a torn tail — fail loudly rather than silently dropping
-                // durable data.
-                Err(e) => return Err(e),
-            }
-            pos += 8 + len;
-        }
-        Ok((records, pos as u64))
+        let bytes = read_log(path)?;
+        let mut frames = Frames::new(&bytes);
+        // A CRC-valid but undecodable payload is genuine corruption, not a
+        // torn tail — fail loudly rather than silently dropping durable data.
+        let records = frames
+            .by_ref()
+            .map(|frame| WalRecord::decode(&frame[8..]))
+            .collect::<Result<_, _>>()?;
+        Ok((records, frames.end as u64))
     }
 }
 
@@ -394,6 +529,28 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let replayed = Wal::replay(&path).unwrap();
         assert_eq!(replayed.len(), before_last, "flipped tail frame must be dropped");
+    }
+
+    /// The allocation-free validator accepts exactly the payloads the
+    /// decoder accepts: every record, every truncation of it, and every
+    /// single-byte corruption.
+    #[test]
+    fn check_accepts_exactly_what_decode_accepts() {
+        for rec in sample_records() {
+            let payload = rec.encode();
+            for cut in 0..=payload.len() {
+                let p = &payload[..cut];
+                assert_eq!(WalRecord::check(p).ok(), WalRecord::decode(p).ok().map(|_| payload[0]));
+            }
+            for i in 0..payload.len() {
+                for byte in [0x00, 0x05, 0x7f, 0xff] {
+                    let mut p = payload.clone();
+                    p[i] = byte;
+                    let decoded = WalRecord::decode(&p).ok().map(|_| p[0]);
+                    assert_eq!(WalRecord::check(&p).ok(), decoded, "{rec:?} byte {i} = {byte}");
+                }
+            }
+        }
     }
 
     #[test]
