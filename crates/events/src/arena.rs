@@ -169,18 +169,28 @@ impl LineageArena {
     {
         let mut view = DnfView::empty();
         for clause in clauses {
-            if !clause.is_consistent() {
-                continue;
-            }
-            match view.ids.binary_search_by(|&e| self.clause_atoms(e).cmp(clause.atoms())) {
-                Ok(_) => continue, // content already present
-                Err(pos) => {
-                    let id = self.push_clause(clause.atoms());
-                    view.ids.insert(pos, id);
-                }
-            }
+            self.insert_clause(&mut view, clause.atoms());
         }
         view
+    }
+
+    /// Adds one clause to `view` **in place**, keeping its canonical order,
+    /// and returns the clause's id when the view did not hold it yet. The
+    /// atoms must be sorted and distinct, as a [`Clause`]'s are; an
+    /// inconsistent clause is skipped, as [`Dnf::from_clauses`] drops it.
+    /// This is the step [`LineageArena::intern_clause_stream`] takes per
+    /// clause, for atoms borrowed from elsewhere (a storage row's, say)
+    /// rather than an owned [`Clause`].
+    pub fn insert_clause(&mut self, view: &mut DnfView, atoms: &[Atom]) -> Option<u32> {
+        debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "atoms must be sorted + deduped");
+        if atoms.windows(2).any(|w| w[0].conflicts_with(&w[1])) {
+            return None;
+        }
+        // An existing content is a no-op.
+        let pos = view.ids.binary_search_by(|&e| self.clause_atoms(e).cmp(atoms)).err()?;
+        let id = self.push_clause(atoms);
+        view.ids.insert(pos, id);
+        Some(id)
     }
 
     /// Interns an already-sorted, deduplicated, consistent clause sequence
@@ -216,17 +226,9 @@ impl LineageArena {
         let mut hash = view.hash(self);
         let mut added: Vec<Clause> = Vec::new();
         for clause in clauses {
-            if !clause.is_consistent() {
-                continue;
-            }
-            match view.ids.binary_search_by(|&e| self.clause_atoms(e).cmp(clause.atoms())) {
-                Ok(_) => continue, // content already present
-                Err(pos) => {
-                    let id = self.push_clause(clause.atoms());
-                    view.ids.insert(pos, id);
-                    hash = hash.with_clause(self.fps[id as usize], clause.len());
-                    added.push(clause.clone());
-                }
+            if let Some(id) = self.insert_clause(view, clause.atoms()) {
+                hash = hash.with_clause(self.fps[id as usize], clause.len());
+                added.push(clause.clone());
             }
         }
         debug_assert_eq!(hash, view.hash(self), "incremental delta hash diverged");

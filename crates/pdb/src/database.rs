@@ -9,7 +9,7 @@ use std::path::Path;
 use events::{Atom, Clause, Dnf, DnfView, LineageArena, ProbabilitySpace, VarId, VarOrigins};
 
 use crate::relation::{AnnotatedTuple, Relation, Schema};
-use crate::storage::{DiskStore, HeapStore, StorageError, StorageStats, TableStore};
+use crate::storage::{DiskStore, HeapStore, RowCursor, StorageError, StorageStats, TableStore};
 use crate::value::Value;
 
 /// A probabilistic database (Section VI-A of the paper, Figure 5).
@@ -182,11 +182,20 @@ impl Database {
     }
 
     /// Streams a table's tuples in insertion order without materializing the
-    /// relation: borrowed from the heap store, decoded row-by-row from disk
-    /// runs (resident memory stays bounded by the memtable budget). Unknown
-    /// tables yield an empty stream.
+    /// relation: borrowed from the heap store, decoded into owned tuples
+    /// row-by-row from disk (resident memory stays bounded by the memtable
+    /// budget). Unknown tables yield an empty stream. [`Database::rows`]
+    /// reads the same rows without owning them.
     pub fn scan<'a>(&'a self, name: &str) -> impl Iterator<Item = Cow<'a, AnnotatedTuple>> + 'a {
         self.store.scan(name)
+    }
+
+    /// A cursor over a table's rows in insertion order, each lent in place
+    /// ([`TableStore::rows`]): a heap store's tuples are not copied, and a
+    /// disk store decodes every row into the same buffers. Unknown tables
+    /// yield no rows.
+    pub fn rows<'a>(&'a self, name: &str) -> Box<dyn RowCursor + 'a> {
+        self.store.rows(name)
     }
 
     /// Keyed point read: the `index`-th row (insertion order) of a table, or
@@ -200,12 +209,18 @@ impl Database {
 
     /// Streams the clauses of a table's *Boolean* lineage (the disjunction
     /// of all tuple lineages) straight into `arena` — the out-of-core
-    /// counterpart of [`Relation::boolean_lineage`]: only interned clause
-    /// ids accumulate in memory, never the decoded tuples.
+    /// counterpart of [`Relation::boolean_lineage`]. Each row's clauses are
+    /// read in place from [`Database::rows`]: no tuple is copied, and only
+    /// interned clause ids accumulate in memory.
     pub fn scan_boolean_lineage(&self, name: &str, arena: &mut LineageArena) -> DnfView {
-        arena.intern_clause_stream(
-            self.scan(name).flat_map(|t| t.into_owned().lineage.into_clauses()),
-        )
+        let mut view = DnfView::empty();
+        let mut rows = self.rows(name);
+        while let Some(row) = rows.next_row() {
+            for clause in row.clauses() {
+                arena.insert_clause(&mut view, clause);
+            }
+        }
+        view
     }
 
     /// The schema of a table, if it exists.
@@ -718,6 +733,48 @@ mod tests {
         assert!(stats.compactions > 0, "run growth must trigger compaction");
         assert!(stats.runs < stats.flushes as usize, "compaction must merge runs");
         assert_eq!(disk.table("R"), heap.table("R"), "reads must be unaffected by flushes");
+    }
+
+    #[test]
+    fn row_cursors_lend_heap_tuples_and_read_the_same_rows_on_disk() {
+        let dir = TempDir::new("db-rows");
+        let mut heap = Database::new();
+        let mut disk = Database::open_disk(dir.path(), 350).expect("open");
+        for db in [&mut heap, &mut disk] {
+            db.add_tuple_independent_table(
+                "R",
+                &["a", "b"],
+                (0..20)
+                    .map(|i| (vec![Value::Int(i), Value::str("s".repeat(i as usize % 4))], 0.5))
+                    .collect(),
+            );
+            db.add_bid_table(
+                "B",
+                &["k"],
+                (0..6)
+                    .map(|b| vec![(vec![Value::Int(b)], 0.25), (vec![Value::Int(-b)], 0.5)])
+                    .collect(),
+            );
+        }
+        let stats = disk.storage_stats();
+        assert!(stats.runs > 0 && stats.memtable_bytes > 0, "{stats:?}");
+        for name in ["R", "B", "missing"] {
+            let (mut on_heap, mut on_disk) = (heap.rows(name), disk.rows(name));
+            for stored in heap.scan(name) {
+                let Cow::Borrowed(tuple) = stored else { panic!("heap scans lend their tuples") };
+                let lent = on_heap.next_row().expect("heap row");
+                assert!(std::ptr::eq(lent.values, tuple.values.as_slice()), "lent, not copied");
+                let decoded = on_disk.next_row().expect("disk row");
+                assert_eq!(decoded.to_tuple(), *tuple);
+                assert!(decoded.clauses().eq(tuple.lineage.clauses().iter().map(Clause::atoms)));
+            }
+            assert!(on_heap.next_row().is_none() && on_disk.next_row().is_none());
+            let (mut a, mut b) = (LineageArena::new(), LineageArena::new());
+            let (from_heap, from_disk) =
+                (heap.scan_boolean_lineage(name, &mut a), disk.scan_boolean_lineage(name, &mut b));
+            assert_eq!(from_heap.to_dnf(&a), from_disk.to_dnf(&b));
+            assert_eq!(from_heap.hash(&a), from_disk.hash(&b));
+        }
     }
 
     #[test]

@@ -549,7 +549,9 @@ impl ConfidenceEngine {
 /// Detects duplicate lineages in a batch (common in answer relations with
 /// symmetries, and in user traffic repeating the same query) by canonical
 /// hash, verified by structural equality so a hash collision can never alias
-/// two different formulas.
+/// two different formulas. Identical lineages have equally many clauses, so
+/// only a lineage whose clause count another lineage of the batch shares is
+/// hashed; the rest cannot have a twin.
 ///
 /// Returns `(representative, work)`: `representative[i]` is the first index
 /// holding a lineage identical to `lineages[i]`, and `work` lists the
@@ -569,8 +571,16 @@ pub fn dedup_lineages<L: AsRef<Dnf>>(
         work.extend(0..lineages.len());
         return (representative, work);
     }
+    let mut lengths: HashMap<usize, usize> = HashMap::with_capacity(lineages.len());
+    for lineage in lineages {
+        *lengths.entry(lineage.as_ref().len()).or_default() += 1;
+    }
     let mut seen: HashMap<events::DnfHash, usize> = HashMap::new();
     for (i, lineage) in lineages.iter().enumerate() {
+        if lengths[&lineage.as_ref().len()] == 1 {
+            work.push(i);
+            continue;
+        }
         let rep = *seen.entry(lineage.as_ref().canonical_hash()).or_insert(i);
         if rep != i && lineages[rep].as_ref() == lineage.as_ref() {
             representative[i] = rep;
@@ -733,6 +743,54 @@ mod tests {
                 &ConfidenceBudget::default(),
             );
             assert_eq!(want.estimate.to_bits(), got.estimate.to_bits());
+        }
+    }
+
+    /// Reference dedup that hashes every lineage: the first lineage of each
+    /// hash represents the identical ones after it.
+    fn dedup_hashing_every_lineage(lineages: &[Dnf]) -> (Vec<usize>, Vec<usize>) {
+        let mut representative: Vec<usize> = (0..lineages.len()).collect();
+        let mut work: Vec<usize> = Vec::with_capacity(lineages.len());
+        let mut seen: HashMap<events::DnfHash, usize> = HashMap::new();
+        for (i, lineage) in lineages.iter().enumerate() {
+            let rep = *seen.entry(lineage.canonical_hash()).or_insert(i);
+            if rep != i && &lineages[rep] == lineage {
+                representative[i] = rep;
+            } else {
+                work.push(i);
+            }
+        }
+        (representative, work)
+    }
+
+    #[test]
+    fn dedup_matches_hashing_every_lineage_on_random_batches() {
+        let mut state = 0x5EED_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for _ in 0..300 {
+            // A small pool of distinct lineages, several of each length, drawn
+            // with repetition: duplicates, singletons and shared lengths.
+            let pool: Vec<Dnf> = (0..1 + next(6))
+                .map(|_| {
+                    let clauses = 1 + next(4);
+                    Dnf::from_clauses((0..clauses).map(|_| {
+                        events::Clause::from_bools(&[
+                            events::VarId(next(6) as u32),
+                            events::VarId(next(6) as u32),
+                        ])
+                    }))
+                })
+                .collect();
+            let batch: Vec<Dnf> =
+                (0..next(10)).map(|_| pool[next(pool.len() as u64) as usize].clone()).collect();
+            let want = dedup_hashing_every_lineage(&batch);
+            assert_eq!(dedup_lineages(&ConfidenceMethod::DTreeExact, &batch), want);
+            let seeded = ConfidenceMethod::KarpLuby { epsilon: 0.1, delta: 0.01 };
+            let identity: Vec<usize> = (0..batch.len()).collect();
+            assert_eq!(dedup_lineages(&seeded, &batch), (identity.clone(), identity));
         }
     }
 

@@ -303,11 +303,13 @@ impl ConjunctiveQuery {
                 return Vec::new();
             }
             // Hash index of the *partials* on their probe key; the subgoal's
-            // tuples then stream past it in one storage scan. This is the
+            // rows then stream past it in one storage scan. This is the
             // out-of-core orientation: the relation — possibly disk-resident
-            // and much larger than RAM — is never materialized; only the
-            // partial assignments (the join state) and the tuples that
-            // actually match live on the heap. The final answers do not
+            // and much larger than RAM — is never materialized, and no row
+            // is copied: the scan lends each row's values and clauses where
+            // they lie (a heap store's tuple, or a disk scan's decode
+            // buffers, reused row after row), and a match copies only what
+            // its output partials keep. The final answers do not
             // depend on the orientation or on the order partials are built
             // in, because answer lineages are canonicalized by
             // `Dnf::from_clauses` below. Buckets are keyed by the key's hash,
@@ -321,8 +323,9 @@ impl ConjunctiveQuery {
             }
 
             let mut out = Partials::new(step.out.len());
-            for tuple in db.scan(step.relation) {
-                let values = &tuple.values;
+            let mut rows = db.rows(step.relation);
+            while let Some(row) = rows.next_row() {
+                let values = row.values;
                 if !step.local.iter().all(|c| c.holds(&[], values)) {
                     continue;
                 }
@@ -335,11 +338,11 @@ impl ConjunctiveQuery {
                     {
                         continue;
                     }
-                    for clause in tuple.lineage.clauses() {
+                    for clause in row.clauses() {
                         out.values
                             .extend(step.out.iter().map(|src| src.read(bound, values).clone()));
                         out.atoms.extend_from_slice(partials.atoms(k));
-                        out.atoms.extend_from_slice(clause.atoms());
+                        out.atoms.extend_from_slice(clause);
                         out.ends.push(out.atoms.len());
                     }
                 }

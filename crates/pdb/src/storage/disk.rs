@@ -36,17 +36,16 @@
 //! `SubformulaCache` entries keyed by that fingerprint stay servable across
 //! the restart.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::fault::{Fault, RetryPolicy};
 use crate::relation::{AnnotatedTuple, Schema};
-use crate::storage::encode::{decode_tuple, encode_tuple};
-use crate::storage::run::{Run, RunWriter};
+use crate::storage::encode::{encode_tuple, RowBuf};
+use crate::storage::run::{Run, RunWriter, TableScan};
 use crate::storage::wal::{Wal, WalRecord};
-use crate::storage::{StorageError, StorageStats, TableStore};
+use crate::storage::{Row, RowCursor, StorageError, StorageStats, StoredRows, TableStore};
 
 /// Compaction threshold: once this many runs are live they are merged into
 /// one.
@@ -223,9 +222,11 @@ impl DiskStore {
         for entry in catalog.values_mut() {
             let uid = entry.uid();
             let mut seqs: Vec<u64> = Vec::new();
+            let mut payload = Vec::new();
             for run in &runs {
-                for row in run.scan_table(uid)? {
-                    seqs.push(row?.0);
+                let mut scan = run.scan_table(uid)?;
+                while let Some(seq) = scan.next_into(&mut payload)? {
+                    seqs.push(seq);
                 }
             }
             seqs.extend(memtable.range((uid, 0)..=(uid, u64::MAX)).map(|(&(_, seq), _)| seq));
@@ -491,7 +492,7 @@ impl DiskStore {
     pub fn get_row(&self, table: &str, seq: u64) -> Result<Option<AnnotatedTuple>, StorageError> {
         let Some(uid) = self.uid_of(table) else { return Ok(None) };
         if let Some(payload) = self.memtable.get(&(uid, seq)) {
-            return Ok(Some(DiskStore::decode_or_panic(payload)));
+            return Ok(Some(decode_or_panic(&mut RowBuf::new(), payload).to_tuple()));
         }
         // Failpoint `storage.get`; the run probe retries as a unit (point
         // reads are side-effect-free, so a retry only recounts the bloom
@@ -505,19 +506,51 @@ impl DiskStore {
                 }
                 s.obs.bloom_pass.inc();
                 if let Some(payload) = run.get(uid, seq)? {
-                    return Ok(Some(DiskStore::decode_or_panic(&payload)));
+                    return Ok(Some(decode_or_panic(&mut RowBuf::new(), &payload).to_tuple()));
                 }
             }
             Ok(None)
         })
     }
+}
 
-    fn decode_or_panic(payload: &[u8]) -> AnnotatedTuple {
-        // Manifest-referenced runs are complete by construction and WAL rows
-        // are CRC-guarded; a decode failure here means external corruption of
-        // committed data, which has no sound continuation.
-        decode_tuple(payload).unwrap_or_else(|e| panic!("corrupt committed tuple payload: {e}"))
+/// The [`RowCursor`] of a [`DiskStore`] table: each run's frames, then the
+/// memtable's payloads, decoded in place into one [`RowBuf`]. Run payloads
+/// are read into one buffer; memtable payloads are decoded where they lie.
+struct DiskRows<'a> {
+    /// Runs not yet started, each already opened at the table's rows.
+    runs: std::vec::IntoIter<TableScan>,
+    /// The run being read.
+    run: Option<TableScan>,
+    memtable: std::collections::btree_map::Range<'a, (u64, u64), Vec<u8>>,
+    payload: Vec<u8>,
+    row: RowBuf,
+}
+
+impl RowCursor for DiskRows<'_> {
+    fn next_row(&mut self) -> Option<Row<'_>> {
+        let payload = loop {
+            if let Some(run) = &mut self.run {
+                match run.next_into(&mut self.payload) {
+                    Ok(Some(_)) => break self.payload.as_slice(),
+                    Ok(None) => self.run = None,
+                    Err(e) => panic!("run scan failed: {e}"),
+                }
+            }
+            match self.runs.next() {
+                Some(run) => self.run = Some(run),
+                None => break self.memtable.next()?.1.as_slice(),
+            }
+        };
+        Some(decode_or_panic(&mut self.row, payload))
     }
+}
+
+/// Decodes a committed payload. Manifest-referenced runs are complete by
+/// construction and WAL rows are CRC-guarded; a decode failure here means
+/// external corruption of committed data, which has no sound continuation.
+fn decode_or_panic<'b>(row: &'b mut RowBuf, payload: &[u8]) -> Row<'b> {
+    row.decode(payload).unwrap_or_else(|e| panic!("corrupt committed tuple payload: {e}"))
 }
 
 fn run_id_of(file_name: &str) -> Option<u64> {
@@ -644,37 +677,35 @@ impl TableStore for DiskStore {
         self.catalog.keys().map(String::as_str).collect()
     }
 
-    fn scan<'a>(&'a self, table: &str) -> Box<dyn Iterator<Item = Cow<'a, AnnotatedTuple>> + 'a> {
+    fn rows<'a>(&'a self, table: &str) -> Box<dyn RowCursor + 'a> {
         let Some(uid) = self.uid_of(table) else {
-            return Box::new(std::iter::empty());
+            return Box::new(StoredRows([].iter()));
         };
-        // Runs are seq-disjoint and flushed in seq order, so chaining them in
+        // Runs are seq-disjoint and flushed in seq order, so reading them in
         // age order, then the memtable, yields rows in insertion order.
-        // Iterator creation (open + seek) retries transient failures under
-        // the policy (failpoint `storage.scan`); a permanent failure — or a
-        // mid-iteration read error below — has no sound continuation inside
-        // an `Iterator` signature (silently truncating the scan would be an
-        // unsound lineage), so it panics and relies on the engine-level
-        // panic isolation to degrade just the affected item.
-        let mut run_iters = Vec::with_capacity(self.runs.len());
+        // Every run is opened (open + seek) before the first row, retrying
+        // transient failures under the policy (failpoint `storage.scan`); a
+        // permanent failure — or a read error in mid-scan — has no sound
+        // continuation (silently truncating the scan would be an unsound
+        // lineage), so it panics and relies on the engine-level panic
+        // isolation to degrade just the affected item.
+        let mut runs = Vec::with_capacity(self.runs.len());
         for run in &self.runs {
-            let iter = self
+            let scan = self
                 .retried_ref(|s| {
                     s.fault.check("storage.scan")?;
                     run.scan_table(uid)
                 })
                 .unwrap_or_else(|e| panic!("run scan failed after retries: {e}"));
-            run_iters.push(iter);
+            runs.push(scan);
         }
-        let from_runs = run_iters.into_iter().flatten().map(|row| {
-            let (_, payload) = row.unwrap_or_else(|e| panic!("run scan failed: {e}"));
-            Cow::Owned(DiskStore::decode_or_panic(&payload))
-        });
-        let from_mem = self
-            .memtable
-            .range((uid, 0)..=(uid, u64::MAX))
-            .map(|(_, payload)| Cow::Owned(DiskStore::decode_or_panic(payload)));
-        Box::new(from_runs.chain(from_mem))
+        Box::new(DiskRows {
+            runs: runs.into_iter(),
+            run: None,
+            memtable: self.memtable.range((uid, 0)..=(uid, u64::MAX)),
+            payload: Vec::new(),
+            row: RowBuf::new(),
+        })
     }
 
     fn log_variable(

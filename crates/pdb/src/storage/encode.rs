@@ -10,7 +10,7 @@
 use events::{Atom, Clause, Dnf, VarId};
 
 use crate::relation::AnnotatedTuple;
-use crate::storage::StorageError;
+use crate::storage::{Row, StorageError};
 use crate::value::Value;
 
 /// Appends a `u32` in little-endian order.
@@ -91,16 +91,25 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.remaining() < n {
-            return Err(StorageError::corrupt(format!(
-                "unexpected end of record: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
+        match self.pos.checked_add(n).and_then(|end| self.buf.get(self.pos..end)) {
+            Some(out) => {
+                self.pos += n;
+                Ok(out)
+            }
+            None => Err(self.short(n)),
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+    }
+
+    /// The error of a read of `n` bytes past the end, built only when a
+    /// read fails.
+    #[cold]
+    fn short(&self, n: usize) -> StorageError {
+        StorageError::corrupt(format!(
+            "unexpected end of record: wanted {n} bytes, {} left",
+            self.remaining()
+        ))
     }
 
     /// Reads one raw byte.
@@ -139,47 +148,116 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| StorageError::corrupt("non-UTF-8 string payload"))
     }
+}
 
-    /// Reads a [`Value`].
-    pub fn value(&mut self) -> Result<Value, StorageError> {
-        match self.u8()? {
-            0 => Ok(Value::Int(self.u64()? as i64)),
-            1 => Ok(Value::Str(self.string()?)),
-            tag => Err(StorageError::corrupt(format!("unknown value tag {tag}"))),
-        }
-    }
+/// Reusable decode buffers for one row. [`RowBuf::decode`] overwrites them
+/// in place and lends the result as a [`Row`], so a scan that decodes every
+/// row into one `RowBuf` allocates nothing per row once the buffers have
+/// grown to the widest row: an `Int` value needs no heap, and a `Str` value
+/// reuses the string it replaces.
+#[derive(Debug)]
+pub struct RowBuf {
+    values: Vec<Value>,
+    atoms: Vec<Atom>,
+    /// Clause `i` is `atoms[ends[i]..ends[i + 1]]`; `ends[0]` is 0.
+    ends: Vec<usize>,
+}
 
-    /// Reads a lineage DNF.
-    pub fn dnf(&mut self) -> Result<Dnf, StorageError> {
-        let n = self.u32()? as usize;
-        let mut clauses = Vec::with_capacity(n.min(self.remaining() / 4));
-        for _ in 0..n {
-            let atoms = self.u32()? as usize;
-            let mut clause = Vec::with_capacity(atoms.min(self.remaining() / 8));
-            for _ in 0..atoms {
-                let var = VarId(self.u32()?);
-                let value = self.u32()?;
-                clause.push(Atom::new(var, value));
-            }
-            clauses.push(Clause::from_atoms(clause));
-        }
-        Ok(Dnf::from_clauses(clauses))
+impl Default for RowBuf {
+    fn default() -> Self {
+        RowBuf { values: Vec::new(), atoms: Vec::new(), ends: vec![0] }
     }
 }
 
-/// Decodes a payload produced by [`encode_tuple`].
+impl RowBuf {
+    /// Empty buffers.
+    pub fn new() -> Self {
+        RowBuf::default()
+    }
+
+    /// Decodes a payload produced by [`encode_tuple`] into the buffers and
+    /// lends the row. The lineage comes out canonical, equal clause for
+    /// clause to [`decode_tuple`]'s [`Dnf`]: the stored clauses are used as
+    /// they lie when they already are (every payload [`encode_tuple`]
+    /// writes is), and are normalized like [`Dnf::from_clauses`] only when
+    /// the decoder sees them out of order, duplicated or inconsistent.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<Row<'_>, StorageError> {
+        let mut cur = Cursor::new(payload);
+        let arity = cur.u32()? as usize;
+        self.values.truncate(arity);
+        for i in 0..arity {
+            match cur.u8()? {
+                0 => {
+                    let v = Value::Int(cur.u64()? as i64);
+                    match self.values.get_mut(i) {
+                        Some(slot) => *slot = v,
+                        None => self.values.push(v),
+                    }
+                }
+                1 => {
+                    let s = cur.str()?;
+                    match self.values.get_mut(i) {
+                        Some(Value::Str(old)) => {
+                            old.clear();
+                            old.push_str(s);
+                        }
+                        Some(slot) => *slot = Value::str(s),
+                        None => self.values.push(Value::str(s)),
+                    }
+                }
+                tag => return Err(StorageError::corrupt(format!("unknown value tag {tag}"))),
+            }
+        }
+        self.atoms.clear();
+        self.ends.truncate(1);
+        let mut canonical = true;
+        for _ in 0..cur.u32()? {
+            let start = self.atoms.len();
+            for _ in 0..cur.u32()? {
+                let atom = Atom::new(VarId(cur.u32()?), cur.u32()?);
+                // Strictly increasing variables: sorted, deduplicated and
+                // consistent at once.
+                canonical &=
+                    self.atoms.len() == start || self.atoms[self.atoms.len() - 1].var < atom.var;
+                self.atoms.push(atom);
+            }
+            if let [.., prev, _] = self.ends[..] {
+                canonical &= self.atoms[prev..start] < self.atoms[start..];
+            }
+            self.ends.push(self.atoms.len());
+        }
+        if cur.remaining() != 0 {
+            return Err(StorageError::corrupt("trailing bytes after tuple payload"));
+        }
+        if !canonical {
+            self.normalize();
+        }
+        Ok(Row::flat(&self.values, &self.atoms, &self.ends))
+    }
+
+    /// Rewrites the decoded clauses as [`Dnf::from_clauses`] normalizes
+    /// them: atoms sorted and deduplicated, inconsistent clauses dropped,
+    /// clauses sorted and deduplicated.
+    #[cold]
+    fn normalize(&mut self) {
+        let dnf = Dnf::from_clauses(
+            self.ends
+                .windows(2)
+                .map(|w| Clause::from_atoms(self.atoms[w[0]..w[1]].iter().copied())),
+        );
+        self.atoms.clear();
+        self.ends.truncate(1);
+        for clause in dnf.clauses() {
+            self.atoms.extend_from_slice(clause.atoms());
+            self.ends.push(self.atoms.len());
+        }
+    }
+}
+
+/// Decodes a payload produced by [`encode_tuple`] into an owned tuple: a
+/// [`RowBuf::decode`] into fresh buffers.
 pub fn decode_tuple(payload: &[u8]) -> Result<AnnotatedTuple, StorageError> {
-    let mut cur = Cursor::new(payload);
-    let arity = cur.u32()? as usize;
-    let mut values = Vec::with_capacity(arity.min(cur.remaining()));
-    for _ in 0..arity {
-        values.push(cur.value()?);
-    }
-    let lineage = cur.dnf()?;
-    if cur.remaining() != 0 {
-        return Err(StorageError::corrupt("trailing bytes after tuple payload"));
-    }
-    Ok(AnnotatedTuple::new(values, lineage))
+    Ok(RowBuf::new().decode(payload)?.to_tuple())
 }
 
 /// The 256-entry CRC-32 lookup table, computed at compile time.
@@ -267,6 +345,138 @@ mod tests {
             let mut p = bytes.clone();
             p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             assert!(decode_tuple(&p).is_err(), "count at byte {at}");
+        }
+    }
+
+    /// Reference decoder, `decode_tuple` as it was before [`RowBuf`]: a
+    /// cursor that owns every value, sorts every clause and then the
+    /// clauses. The oracle of the decoder equivalence test below.
+    fn decode_tuple_oracle(payload: &[u8]) -> Result<AnnotatedTuple, StorageError> {
+        let mut cur = Cursor::new(payload);
+        let arity = cur.u32()? as usize;
+        let mut values = Vec::with_capacity(arity.min(cur.remaining()));
+        for _ in 0..arity {
+            values.push(match cur.u8()? {
+                0 => Value::Int(cur.u64()? as i64),
+                1 => Value::Str(cur.string()?),
+                tag => return Err(StorageError::corrupt(format!("unknown value tag {tag}"))),
+            });
+        }
+        let n = cur.u32()? as usize;
+        let mut clauses = Vec::with_capacity(n.min(cur.remaining() / 4));
+        for _ in 0..n {
+            let atoms = cur.u32()? as usize;
+            let mut clause = Vec::with_capacity(atoms.min(cur.remaining() / 8));
+            for _ in 0..atoms {
+                let var = VarId(cur.u32()?);
+                let value = cur.u32()?;
+                clause.push(Atom::new(var, value));
+            }
+            clauses.push(Clause::from_atoms(clause));
+        }
+        let lineage = Dnf::from_clauses(clauses);
+        if cur.remaining() != 0 {
+            return Err(StorageError::corrupt("trailing bytes after tuple payload"));
+        }
+        Ok(AnnotatedTuple::new(values, lineage))
+    }
+
+    /// Both decoders accept `payload` or both reject it with the same
+    /// message; when they accept, the row lent from `buf` and the owned
+    /// tuple equal the oracle's values and clauses.
+    fn assert_decoders_agree(buf: &mut RowBuf, payload: &[u8]) {
+        let want = decode_tuple_oracle(payload);
+        match (&want, buf.decode(payload)) {
+            (Ok(tuple), Ok(row)) => {
+                assert_eq!(row.values, tuple.values.as_slice(), "{payload:?}");
+                let clauses: Vec<&[Atom]> = row.clauses().collect();
+                let expected: Vec<&[Atom]> =
+                    tuple.lineage.clauses().iter().map(Clause::atoms).collect();
+                assert_eq!(clauses, expected, "{payload:?}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{payload:?}"),
+            (want, got) => {
+                panic!("{payload:?}: oracle {want:?}, in place {:?}", got.map(|r| r.to_tuple()))
+            }
+        }
+        match (want, decode_tuple(payload)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+            (a, b) => panic!("{payload:?}: oracle {a:?}, decode_tuple {b:?}"),
+        }
+    }
+
+    /// A payload written by hand: `values`, then the clauses as given,
+    /// whatever their order.
+    fn raw_payload(values: &[Value], clauses: &[&[(u32, u32)]]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, values.len() as u32);
+        for v in values {
+            put_value(&mut buf, v);
+        }
+        put_u32(&mut buf, clauses.len() as u32);
+        for clause in clauses {
+            put_u32(&mut buf, clause.len() as u32);
+            for &(var, value) in *clause {
+                put_u32(&mut buf, var);
+                put_u32(&mut buf, value);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn in_place_decoder_accepts_and_yields_exactly_what_decode_tuple_did() {
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = splitmix64(state);
+            state % n
+        };
+        let mut payloads = Vec::new();
+        for _ in 0..24 {
+            let values: Vec<Value> = (0..next(5))
+                .map(|_| match next(3) {
+                    0 => Value::str(["", "a", "naïve", "xyz", "ab"][next(5) as usize]),
+                    _ => Value::Int(next(u64::MAX) as i64),
+                })
+                .collect();
+            // Multi-clause BID lineages: each clause picks alternatives of
+            // distinct blocks; `from_clauses` makes them canonical.
+            let lineage = match next(4) {
+                0 => Dnf::tautology(),
+                1 => Dnf::empty(),
+                _ => Dnf::from_clauses((0..1 + next(4)).map(|_| {
+                    Clause::from_atoms(
+                        (0..1 + next(3)).map(|_| Atom::new(VarId(next(5) as u32), next(3) as u32)),
+                    )
+                })),
+            };
+            payloads.push(encode_tuple(&AnnotatedTuple::new(values, lineage)));
+        }
+        let v = [Value::Int(3), Value::str("s")];
+        payloads.extend([
+            raw_payload(&v, &[&[(5, 0), (2, 1)]]), // atoms out of order
+            raw_payload(&v, &[&[(2, 1), (2, 1)], &[(4, 0)]]), // duplicate atom
+            raw_payload(&v, &[&[(2, 0), (2, 1)], &[(4, 0)]]), // inconsistent clause
+            raw_payload(&v, &[&[(2, 0), (2, 1)]]), // nothing consistent
+            raw_payload(&v, &[&[(3, 0)], &[(1, 0), (2, 0)]]), // clauses out of order
+            raw_payload(&v, &[&[(1, 0)], &[(1, 0)], &[]]), // duplicate clauses
+            raw_payload(&v, &[&[(2, 0), (1, 0)], &[(1, 0), (2, 0)]]), // equal once sorted
+            raw_payload(&[], &[&[], &[(1, 1)]]),   // ⊤ before a literal
+        ]);
+        let mut buf = RowBuf::new();
+        for payload in &payloads {
+            assert_decoders_agree(&mut buf, payload);
+            for cut in 0..payload.len() {
+                assert_decoders_agree(&mut buf, &payload[..cut]);
+            }
+            for at in 0..payload.len() {
+                let mut corrupt = payload.clone();
+                for byte in (0..=u8::MAX).filter(|&b| b != payload[at]) {
+                    corrupt[at] = byte;
+                    assert_decoders_agree(&mut buf, &corrupt);
+                }
+            }
         }
     }
 

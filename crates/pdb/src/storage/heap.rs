@@ -1,13 +1,13 @@
 //! The default heap-resident table store — the pre-refactor
 //! `BTreeMap<String, Relation>` behind the [`TableStore`] trait, with zero
-//! behavior change: tuples are stored decoded, scans borrow them, and every
-//! durability hook is a no-op.
+//! behavior change: tuples are stored decoded, row cursors and scans lend
+//! them without a copy, and every durability hook is a no-op.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::relation::{AnnotatedTuple, Relation, Schema};
-use crate::storage::{StorageError, StorageStats, TableStore};
+use crate::storage::{RowCursor, StorageError, StorageStats, StoredRows, TableStore};
 
 /// In-memory [`TableStore`]: the `Database` default. See the
 /// module docs above.
@@ -20,6 +20,11 @@ impl HeapStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         HeapStore::default()
+    }
+
+    /// The table's tuples; none for an unknown table.
+    fn tuples(&self, table: &str) -> &[AnnotatedTuple] {
+        self.tables.get(table).map_or(&[], |rel| &rel.tuples)
     }
 }
 
@@ -53,11 +58,12 @@ impl TableStore for HeapStore {
         self.tables.keys().map(String::as_str).collect()
     }
 
+    fn rows<'a>(&'a self, table: &str) -> Box<dyn RowCursor + 'a> {
+        Box::new(StoredRows(self.tuples(table).iter()))
+    }
+
     fn scan<'a>(&'a self, table: &str) -> Box<dyn Iterator<Item = Cow<'a, AnnotatedTuple>> + 'a> {
-        match self.tables.get(table) {
-            Some(rel) => Box::new(rel.tuples.iter().map(Cow::Borrowed)),
-            None => Box::new(std::iter::empty()),
-        }
+        Box::new(self.tuples(table).iter().map(Cow::Borrowed))
     }
 
     fn materialize(&self, table: &str) -> Option<Relation> {

@@ -5,8 +5,9 @@
 //! `BTreeMap<String, Relation>` (zero behavior change), while the LSM-style
 //! [`DiskStore`] spills tuples through a write-ahead log, a byte-budgeted
 //! memtable, and immutable sorted runs with bloom filters — the out-of-core
-//! backend. Lineage construction streams tuples out of either store via
-//! [`TableStore::scan`] without materializing relations, and the
+//! backend. Query evaluation and lineage construction read rows out of
+//! either store in place through the lending [`TableStore::rows`] cursor,
+//! without materializing relations or copying tuples, and the
 //! [`DiskStore`] WAL doubles as the recovery log for the probability space:
 //! its last epoch record restores the exact pre-crash generation +
 //! watermark, so warm `SubformulaCache` entries survive a restart.
@@ -14,7 +15,10 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use events::{Atom, Clause, Dnf};
+
 use crate::relation::{AnnotatedTuple, Relation, Schema};
+use crate::value::Value;
 
 pub mod encode;
 pub mod run;
@@ -110,6 +114,93 @@ pub struct StorageStats {
     pub wal_rotations: u64,
 }
 
+/// One row of a table, lent by a [`RowCursor`] where it lies: in a heap
+/// store's tuple, or in a disk scan's decode buffers. Its lineage clauses
+/// are canonical, exactly the clauses of the stored tuple's [`Dnf`]: each
+/// clause's atoms are sorted by variable, distinct and consistent, and the
+/// clauses are sorted and distinct.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    /// The attribute values.
+    pub values: &'a [Value],
+    lineage: RowLineage<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RowLineage<'a> {
+    /// A stored tuple's lineage.
+    Stored(&'a Dnf),
+    /// Decoded clauses: clause `i` is `atoms[ends[i]..ends[i + 1]]`.
+    Flat { atoms: &'a [Atom], ends: &'a [usize] },
+}
+
+impl<'a> Row<'a> {
+    /// Lends a stored tuple.
+    pub(crate) fn stored(tuple: &'a AnnotatedTuple) -> Row<'a> {
+        Row { values: &tuple.values, lineage: RowLineage::Stored(&tuple.lineage) }
+    }
+
+    /// A row over decoded buffers whose clauses are already canonical.
+    pub(crate) fn flat(values: &'a [Value], atoms: &'a [Atom], ends: &'a [usize]) -> Row<'a> {
+        Row { values, lineage: RowLineage::Flat { atoms, ends } }
+    }
+
+    /// Number of lineage clauses.
+    pub fn num_clauses(&self) -> usize {
+        match self.lineage {
+            RowLineage::Stored(dnf) => dnf.len(),
+            RowLineage::Flat { ends, .. } => ends.len() - 1,
+        }
+    }
+
+    /// The atoms of lineage clause `i`.
+    fn clause(&self, i: usize) -> &'a [Atom] {
+        match self.lineage {
+            RowLineage::Stored(dnf) => dnf.clauses()[i].atoms(),
+            RowLineage::Flat { atoms, ends } => &atoms[ends[i]..ends[i + 1]],
+        }
+    }
+
+    /// The lineage clauses, in canonical order.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &'a [Atom]> + 'a {
+        let row = *self;
+        (0..row.num_clauses()).map(move |i| row.clause(i))
+    }
+
+    /// An owned copy of the row.
+    pub fn to_tuple(&self) -> AnnotatedTuple {
+        let lineage = match self.lineage {
+            RowLineage::Stored(dnf) => dnf.clone(),
+            RowLineage::Flat { .. } => {
+                Dnf::from_clauses(self.clauses().map(|c| Clause::from_atoms(c.iter().copied())))
+            }
+        };
+        AnnotatedTuple::new(self.values.to_vec(), lineage)
+    }
+}
+
+/// A lending cursor over a table's rows, returned by [`TableStore::rows`].
+/// Each row borrows the cursor until the next call, which lets disk stores
+/// decode every row into the same buffers.
+pub trait RowCursor {
+    /// The next row, or `None` after the last.
+    ///
+    /// # Panics
+    /// Disk stores panic on a read or decode failure in mid-scan: a
+    /// truncated scan would be an unsound lineage, so the failure is left
+    /// to the engine's panic isolation, which degrades the affected item.
+    fn next_row(&mut self) -> Option<Row<'_>>;
+}
+
+/// The [`RowCursor`] over tuples held in memory.
+pub(crate) struct StoredRows<'a>(pub(crate) std::slice::Iter<'a, AnnotatedTuple>);
+
+impl RowCursor for StoredRows<'_> {
+    fn next_row(&mut self) -> Option<Row<'_>> {
+        self.0.next().map(Row::stored)
+    }
+}
+
 /// A table store: the persistence backbone behind [`crate::Database`].
 ///
 /// # Invariants
@@ -117,10 +208,11 @@ pub struct StorageStats {
 /// Every implementation must uphold the following; the database layer, the
 /// query evaluators, and the crash-recovery protocol all rely on them.
 ///
-/// 1. **Insertion-order scans.** [`TableStore::scan`] yields a table's
-///    tuples in exactly the order they were appended to the *current*
-///    incarnation. Row numbering (`"R#i"` variable names), query-evaluation
-///    results, and `materialize` all derive from this order.
+/// 1. **Insertion-order scans.** [`TableStore::rows`] and
+///    [`TableStore::scan`] yield a table's tuples in exactly the order
+///    they were appended to the *current* incarnation. Row numbering
+///    (`"R#i"` variable names), query-evaluation results, and
+///    `materialize` all derive from this order.
 /// 2. **Bit-exact annotations.** A scanned tuple compares equal — values,
 ///    variable ids, BID domain values, and probability `f64` bit patterns —
 ///    to the tuple that was appended, across any number of flushes,
@@ -161,21 +253,32 @@ pub trait TableStore: fmt::Debug + Send + Sync {
     /// All table names, sorted.
     fn table_names(&self) -> Vec<&str>;
 
-    /// Streams the table's tuples in insertion order (invariant 1). Heap
-    /// stores lend their tuples (`Cow::Borrowed`); disk stores decode each
-    /// row on the fly (`Cow::Owned`) so resident memory stays bounded by the
-    /// memtable budget, not the table size. Unknown tables yield an empty
-    /// stream.
-    fn scan<'a>(&'a self, table: &str) -> Box<dyn Iterator<Item = Cow<'a, AnnotatedTuple>> + 'a>;
+    /// A cursor over the table's rows in insertion order (invariant 1),
+    /// each lent in place: heap stores lend their stored tuples; disk
+    /// stores read each frame into one buffer per scan and decode it into
+    /// one [`encode::RowBuf`] per scan, so a scan allocates per run, not
+    /// per row, and resident memory stays bounded by the memtable budget,
+    /// not the table size. Unknown tables yield no rows.
+    fn rows<'a>(&'a self, table: &str) -> Box<dyn RowCursor + 'a>;
+
+    /// Streams the table's tuples in insertion order (invariant 1), for
+    /// callers that keep them. The default owns each row of
+    /// [`TableStore::rows`] (`Cow::Owned`); heap stores override it to lend
+    /// their tuples (`Cow::Borrowed`).
+    fn scan<'a>(&'a self, table: &str) -> Box<dyn Iterator<Item = Cow<'a, AnnotatedTuple>> + 'a> {
+        let mut rows = self.rows(table);
+        Box::new(std::iter::from_fn(move || rows.next_row().map(|row| Cow::Owned(row.to_tuple()))))
+    }
 
     /// Materializes the table as an owned [`Relation`] snapshot. The default
-    /// builds it from [`TableStore::scan`]; heap stores override it with a
+    /// builds it from [`TableStore::rows`]; heap stores override it with a
     /// straight clone.
     fn materialize(&self, table: &str) -> Option<Relation> {
         let schema = self.schema(table)?.clone();
         let mut rel = Relation::empty(schema);
-        for tuple in self.scan(table) {
-            rel.push(tuple.into_owned());
+        let mut rows = self.rows(table);
+        while let Some(row) = rows.next_row() {
+            rel.push(row.to_tuple());
         }
         Some(rel)
     }

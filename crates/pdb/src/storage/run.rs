@@ -18,8 +18,11 @@
 //!   read forward instead of scanning from the start.
 //!
 //! Decoded tuples are never cached: a scan streams frames through a
-//! fixed-size buffered reader, which is what keeps resident memory bounded
-//! by the memtable budget rather than the dataset.
+//! buffered reader of at most 64 KiB, which reads no further than the
+//! sparse-index entry after the table's rows, and reads each payload into
+//! one buffer it reuses for every row ([`TableScan::next_into`]), so it
+//! allocates per run, not per row, and resident memory stays bounded by
+//! the memtable budget rather than the dataset.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -181,7 +184,7 @@ impl Run {
     /// by construction).
     pub fn open(path: &Path) -> Result<Run, StorageError> {
         let mut keys = Vec::new();
-        let mut reader = FrameReader::open(path, 0)?;
+        let mut reader = FrameReader::open(path, 0, None)?;
         while let Some((uid, seq, offset, payload_len)) = reader.next_header()? {
             keys.push((uid, seq, offset));
             reader.skip_payload(payload_len)?;
@@ -223,20 +226,24 @@ impl Run {
         }
     }
 
-    /// Streams `(seq, payload)` for every row of table incarnation `uid`, in
-    /// sequence order, reading forward from the sparse-index floor entry.
-    pub fn scan_table(
-        &self,
-        uid: u64,
-    ) -> Result<impl Iterator<Item = Result<(u64, Vec<u8>), StorageError>>, StorageError> {
-        let reader = FrameReader::open(&self.path, self.seek_offset(uid, 0))?;
-        Ok(TableScan { reader, uid, done: false })
+    /// Streams the rows of table incarnation `uid`, in sequence order,
+    /// reading forward from the sparse-index floor entry.
+    pub fn scan_table(&self, uid: u64) -> Result<TableScan, StorageError> {
+        let start = self.seek_offset(uid, 0);
+        // The first indexed row of a later incarnation bounds this one's
+        // frames, so the buffered reader need not read past it.
+        let end = self
+            .index
+            .get(self.index.partition_point(|&(u, _, _)| u <= uid))
+            .map(|&(_, _, offset)| offset);
+        let reader = FrameReader::open(&self.path, start, end)?;
+        Ok(TableScan { reader, uid, end, done: false })
     }
 
     /// Streams every row frame `(uid, seq, payload)` in key order — the
     /// compaction input, payloads verbatim.
     pub fn scan_all(&self) -> Result<RowScan, StorageError> {
-        let reader = FrameReader::open(&self.path, 0)?;
+        let reader = FrameReader::open(&self.path, 0, None)?;
         Ok(RowScan { reader })
     }
 
@@ -253,7 +260,7 @@ impl Run {
         if !self.bloom.may_contain(uid, seq) {
             return Ok(None);
         }
-        let mut reader = FrameReader::open(&self.path, self.seek_offset(uid, seq))?;
+        let mut reader = FrameReader::open(&self.path, self.seek_offset(uid, seq), None)?;
         while let Some((u, s, _, len)) = reader.next_header()? {
             if (u, s) == (uid, seq) {
                 return Ok(Some(reader.read_payload(len)?));
@@ -275,10 +282,14 @@ struct FrameReader {
 }
 
 impl FrameReader {
-    fn open(path: &Path, offset: u64) -> Result<FrameReader, StorageError> {
+    /// Opens the run at `offset`. The buffer holds 64 KiB, or only the
+    /// bytes up to `end` when the caller reads no further.
+    fn open(path: &Path, offset: u64, end: Option<u64>) -> Result<FrameReader, StorageError> {
+        const CAPACITY: u64 = 64 * 1024;
         let mut file = File::open(path)?;
         file.seek(SeekFrom::Start(offset))?;
-        Ok(FrameReader { reader: BufReader::with_capacity(64 * 1024, file), offset })
+        let capacity = end.map_or(CAPACITY, |end| (end - offset).min(CAPACITY));
+        Ok(FrameReader { reader: BufReader::with_capacity(capacity as usize, file), offset })
     }
 
     /// Reads the next frame header, returning `(uid, seq, frame offset,
@@ -302,11 +313,17 @@ impl FrameReader {
     }
 
     fn read_payload(&mut self, len: usize) -> Result<Vec<u8>, StorageError> {
-        let mut payload = vec![0u8; len];
-        self.reader
-            .read_exact(&mut payload)
-            .map_err(|_| StorageError::corrupt("truncated run payload"))?;
+        let mut payload = Vec::new();
+        self.read_payload_into(len, &mut payload)?;
         Ok(payload)
+    }
+
+    /// Reads a payload of `len` bytes into `payload`, replacing its
+    /// contents and reusing its allocation.
+    fn read_payload_into(&mut self, len: usize, payload: &mut Vec<u8>) -> Result<(), StorageError> {
+        payload.clear();
+        payload.resize(len, 0);
+        self.reader.read_exact(payload).map_err(|_| StorageError::corrupt("truncated run payload"))
     }
 
     fn skip_payload(&mut self, len: usize) -> Result<(), StorageError> {
@@ -315,48 +332,44 @@ impl FrameReader {
     }
 }
 
-struct TableScan {
+/// Streaming reader over one table incarnation's rows of a run, returned
+/// by [`Run::scan_table`]: [`TableScan::next_into`] reads each payload into
+/// a caller's buffer.
+#[derive(Debug)]
+pub struct TableScan {
     reader: FrameReader,
     uid: u64,
+    /// Offset of the first indexed frame of a later incarnation, if any.
+    end: Option<u64>,
     done: bool,
 }
 
-impl Iterator for TableScan {
-    type Item = Result<(u64, Vec<u8>), StorageError>;
+impl TableScan {
+    /// Reads the next row's payload into `payload`, replacing its contents,
+    /// and returns the row's sequence number, or `None` after the table's
+    /// last row. The scan ends at the first error.
+    pub fn next_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<u64>, StorageError> {
+        let next = self.advance(payload);
+        if !matches!(next, Ok(Some(_))) {
+            self.done = true;
+        }
+        next
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            let header = match self.reader.next_header() {
-                Ok(h) => h,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            };
-            let Some((uid, seq, _, len)) = header else {
-                self.done = true;
-                return None;
-            };
+    fn advance(&mut self, payload: &mut Vec<u8>) -> Result<Option<u64>, StorageError> {
+        while !self.done && self.end.is_none_or(|end| self.reader.offset < end) {
+            let Some((uid, seq, _, len)) = self.reader.next_header()? else { break };
             if uid > self.uid {
-                self.done = true;
-                return None;
+                break;
             }
             if uid < self.uid {
-                if let Err(e) = self.reader.skip_payload(len) {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+                self.reader.skip_payload(len)?;
                 continue;
             }
-            return match self.reader.read_payload(len) {
-                Ok(payload) => Some(Ok((seq, payload))),
-                Err(e) => {
-                    self.done = true;
-                    Some(Err(e))
-                }
-            };
+            self.reader.read_payload_into(len, payload)?;
+            return Ok(Some(seq));
         }
-        None
+        Ok(None)
     }
 }
 
@@ -398,6 +411,17 @@ mod tests {
         rows
     }
 
+    /// Every `(seq, payload)` of incarnation `uid` in `run`.
+    fn table_rows(run: &Run, uid: u64) -> Vec<(u64, Vec<u8>)> {
+        let mut scan = run.scan_table(uid).unwrap();
+        let mut payload = Vec::new();
+        let mut rows = Vec::new();
+        while let Some(seq) = scan.next_into(&mut payload).unwrap() {
+            rows.push((seq, payload.clone()));
+        }
+        rows
+    }
+
     fn write_sample(dir: &TempDir) -> Run {
         let rows = sample_rows();
         Run::write(
@@ -412,8 +436,7 @@ mod tests {
         let dir = TempDir::new("run-scan");
         let run = write_sample(&dir);
         let uid = 2u64 << 32;
-        let got: Vec<(u64, Vec<u8>)> =
-            run.scan_table(uid).unwrap().collect::<Result<_, _>>().unwrap();
+        let got = table_rows(&run, uid);
         let expected: Vec<(u64, Vec<u8>)> = sample_rows()
             .into_iter()
             .filter(|&(u, _, _)| u == uid)
@@ -421,6 +444,21 @@ mod tests {
             .collect();
         assert_eq!(got, expected);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn every_incarnation_scan_stops_at_its_last_row() {
+        let dir = TempDir::new("run-bounds");
+        let run = write_sample(&dir);
+        // Present uids, absent ones before, between and after them.
+        for uid in [0, 1u64 << 32, (1u64 << 32) + 1, 2u64 << 32, (2u64 << 32) | 1, 3u64 << 32] {
+            let expected: Vec<(u64, Vec<u8>)> = sample_rows()
+                .into_iter()
+                .filter(|&(u, _, _)| u == uid)
+                .map(|(_, s, p)| (s, p))
+                .collect();
+            assert_eq!(table_rows(&run, uid), expected, "uid {uid:#x}");
+        }
     }
 
     #[test]
@@ -471,9 +509,9 @@ mod tests {
     fn scanning_a_missing_uid_is_empty() {
         let dir = TempDir::new("run-missuid");
         let run = write_sample(&dir);
-        assert_eq!(run.scan_table(3u64 << 32).unwrap().count(), 0);
+        assert!(table_rows(&run, 3u64 << 32).is_empty());
         let empty = Run::write(&dir.path().join("empty.dat"), std::iter::empty()).unwrap();
         assert_eq!(empty.rows(), 0);
-        assert_eq!(empty.scan_table(0).unwrap().count(), 0);
+        assert!(table_rows(&empty, 0).is_empty());
     }
 }
