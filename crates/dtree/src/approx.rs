@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use events::ProbabilitySpace;
 use events::{product_factorization_by, Atom, Dnf, DnfView, LineageArena};
 
-use crate::bounds::{dnf_bounds_view, Bounds};
+use crate::bounds::{dnf_bounds_view, Bounds, BoundsFold, Op};
 use crate::cache::{Memo, SubformulaCache};
 use crate::compile::CompileOptions;
 use crate::order::choose_variable;
@@ -298,23 +298,6 @@ enum Work {
     Node(Op, Vec<Work>),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Or,
-    And,
-    Xor,
-}
-
-impl Op {
-    fn to_partial(self) -> crate::partial::Op {
-        match self {
-            Op::Or => crate::partial::Op::Or,
-            Op::And => crate::partial::Op::And,
-            Op::Xor => crate::partial::Op::Xor,
-        }
-    }
-}
-
 /// One node of the partial d-tree a truncated DFS run implicitly materialised,
 /// recorded as the exploration unwinds (each `explore` call that returns
 /// [`Outcome::Finished`] pushes exactly one node; an inner node pops its
@@ -331,7 +314,7 @@ pub(crate) enum CapturedNode {
     /// the DFS; the reconstruction interns it as a one-clause view.
     Atom { atom: Atom, p: f64 },
     /// An inner decomposition node over the `children` captured beneath it.
-    Inner { op: crate::partial::Op, children: Vec<CapturedNode> },
+    Inner { op: Op, children: Vec<CapturedNode> },
 }
 
 enum Outcome {
@@ -344,24 +327,40 @@ enum Outcome {
 }
 
 /// A stack frame of the depth-first exploration: one per inner node on the
-/// current root-to-leaf path. `done` holds the final bounds of fully explored
-/// children, `pending` the quick (bucket) bounds of children not yet visited
-/// (a deque: the front is popped as each child starts exploration, which must
+/// current root-to-leaf path. `done` is the running fold over the final
+/// bounds of the fully explored children, in exploration order, so a global
+/// bound continues it instead of re-folding every finished sibling;
+/// `pending` holds the quick (bucket) bounds of children not yet visited (a
+/// deque: the front is popped as each child starts exploration, which must
 /// stay O(1) — ⊗/⊙ nodes can be very wide, e.g. one child per independent
 /// component).
 struct Frame {
     op: Op,
-    done: Vec<Bounds>,
+    done: BoundsFold,
+    /// Number of fully explored children.
+    explored: usize,
+    /// `true` while every fully explored child has point bounds.
+    explored_exact: bool,
     pending: VecDeque<Bounds>,
 }
 
 impl Frame {
+    fn new(op: Op, pending: VecDeque<Bounds>) -> Frame {
+        Frame { op, done: BoundsFold::new(op), explored: 0, explored_exact: true, pending }
+    }
+
+    /// Records the final bounds of the next fully explored child.
+    fn finish_child(&mut self, b: Bounds) {
+        self.done.push(b);
+        self.explored += 1;
+        self.explored_exact &= b.is_point();
+    }
+
     /// Lemma 5.11 restricts leaf closing to d-trees whose ⊙ nodes have at
     /// most one non-exact child; an ⊙ frame with open (non-point) siblings
     /// therefore forbids closing anywhere beneath it.
     fn allows_closing(&self) -> bool {
-        self.op != Op::And
-            || (self.done.iter().all(Bounds::is_point) && self.pending.iter().all(Bounds::is_point))
+        self.op != Op::And || (self.explored_exact && self.pending.iter().all(Bounds::is_point))
     }
 }
 
@@ -429,24 +428,12 @@ impl Dfs<'_> {
     fn global_bounds(&self, current: Bounds, pending_at_lower: bool) -> Bounds {
         let mut acc = current;
         for frame in self.frames.iter().rev() {
-            let children: Vec<Bounds> = frame
-                .done
-                .iter()
-                .copied()
-                .chain(std::iter::once(acc))
-                .chain(frame.pending.iter().map(|b| {
-                    if pending_at_lower {
-                        Bounds::point(b.lower)
-                    } else {
-                        *b
-                    }
-                }))
-                .collect();
-            acc = match frame.op {
-                Op::Or => Bounds::combine_or(children),
-                Op::And => Bounds::combine_and(children),
-                Op::Xor => Bounds::combine_xor(children),
-            };
+            let mut fold = frame.done;
+            fold.push(acc);
+            for b in &frame.pending {
+                fold.push(if pending_at_lower { Bounds::point(b.lower) } else { *b });
+            }
+            acc = fold.finish();
         }
         acc
     }
@@ -486,7 +473,7 @@ impl Dfs<'_> {
                 CapturedNode::Leaf { view: view.clone(), bounds, exact }
             }
             Work::Node(op, children) => CapturedNode::Inner {
-                op: op.to_partial(),
+                op: *op,
                 children: children.iter().map(|c| self.capture_pending(c)).collect(),
             },
         }
@@ -533,14 +520,7 @@ impl Dfs<'_> {
                     self.memo_bounds(view)
                 }
             }
-            Work::Node(op, children) => {
-                let bounds: Vec<Bounds> = children.iter().map(|c| self.quick_bounds(c)).collect();
-                match op {
-                    Op::Or => Bounds::combine_or(bounds),
-                    Op::And => Bounds::combine_and(bounds),
-                    Op::Xor => Bounds::combine_xor(bounds),
-                }
-            }
+            Work::Node(op, children) => op.combine(children.iter().map(|c| self.quick_bounds(c))),
         }
     }
 
@@ -565,7 +545,7 @@ impl Dfs<'_> {
     fn explore_node(&mut self, op: Op, children: Vec<Work>, depth: usize) -> Outcome {
         let pending: VecDeque<Bounds> =
             children.iter().skip(1).map(|c| self.quick_bounds(c)).collect();
-        self.frames.push(Frame { op, done: Vec::new(), pending });
+        self.frames.push(Frame::new(op, pending));
         let mut queue: VecDeque<Work> = children.into();
         let mut first = true;
         while let Some(child) = queue.pop_front() {
@@ -578,7 +558,7 @@ impl Dfs<'_> {
             match self.explore(child, depth + 1) {
                 Outcome::Finished(b) => {
                     let frame = self.frames.last_mut().expect("frame pushed above");
-                    frame.done.push(b);
+                    frame.finish_child(b);
                 }
                 Outcome::StopAll(b) => {
                     let frame = self.frames.pop().expect("frame pushed above");
@@ -590,10 +570,10 @@ impl Dfs<'_> {
                         let rest: Vec<CapturedNode> =
                             queue.iter().map(|c| self.capture_pending(c)).collect();
                         let cap = self.capture.as_mut().expect("checked above");
-                        let explored = frame.done.len() + 1;
+                        let explored = frame.explored + 1;
                         let mut kids = cap.split_off(cap.len() - explored);
                         kids.extend(rest);
-                        cap.push(CapturedNode::Inner { op: op.to_partial(), children: kids });
+                        cap.push(CapturedNode::Inner { op, children: kids });
                     }
                     return Outcome::StopAll(b);
                 }
@@ -602,15 +582,10 @@ impl Dfs<'_> {
         let frame = self.frames.pop().expect("frame pushed above");
         if let Some(cap) = &mut self.capture {
             // Every fully explored child pushed exactly one captured node.
-            let children = cap.split_off(cap.len() - frame.done.len());
-            cap.push(CapturedNode::Inner { op: op.to_partial(), children });
+            let children = cap.split_off(cap.len() - frame.explored);
+            cap.push(CapturedNode::Inner { op, children });
         }
-        let combined = match op {
-            Op::Or => Bounds::combine_or(frame.done),
-            Op::And => Bounds::combine_and(frame.done),
-            Op::Xor => Bounds::combine_xor(frame.done),
-        };
-        Outcome::Finished(combined)
+        Outcome::Finished(frame.done.finish())
     }
 
     fn explore_view(&mut self, view: DnfView, depth: usize) -> Outcome {
@@ -971,6 +946,16 @@ mod tests {
         assert!(r.lower <= exact + 1e-9 && exact <= r.upper + 1e-9);
     }
 
+    /// A frame whose explored children finished with `done` and whose
+    /// unexplored ones have quick bounds `pending`.
+    fn frame(op: Op, done: &[Bounds], pending: &[Bounds]) -> Frame {
+        let mut frame = Frame::new(op, pending.iter().copied().collect());
+        for &b in done {
+            frame.finish_child(b);
+        }
+        frame
+    }
+
     /// Example 5.13: the closing decision at Φ2 of the Figure-4 d-tree.
     /// We reproduce it directly through the `Frame`/`global_bounds`
     /// machinery.
@@ -984,24 +969,12 @@ mod tests {
             space: &s,
             opts: &opts,
             frames: vec![
-                Frame {
-                    op: Op::Or,
-                    // Φ1 is closed with bounds [0.1, 0.11].
-                    done: vec![Bounds::new(0.1, 0.11)],
-                    pending: VecDeque::new(),
-                },
-                Frame {
-                    op: Op::Xor,
-                    done: vec![],
-                    // Φ3 is open with bucket bounds [0.35, 0.38].
-                    pending: VecDeque::from(vec![Bounds::new(0.35, 0.38)]),
-                },
-                Frame {
-                    op: Op::And,
-                    // {x = 1} with exact probability 0.5.
-                    done: vec![Bounds::point(0.5)],
-                    pending: VecDeque::new(),
-                },
+                // Φ1 is closed with bounds [0.1, 0.11].
+                frame(Op::Or, &[Bounds::new(0.1, 0.11)], &[]),
+                // Φ3 is open with bucket bounds [0.35, 0.38].
+                frame(Op::Xor, &[], &[Bounds::new(0.35, 0.38)]),
+                // {x = 1} with exact probability 0.5.
+                frame(Op::And, &[Bounds::point(0.5)], &[]),
             ],
             stats: CompileStats::default(),
             steps: 0,
@@ -1035,11 +1008,7 @@ mod tests {
             arena: &mut arena,
             space: &s,
             opts: &opts,
-            frames: vec![Frame {
-                op: Op::And,
-                done: vec![],
-                pending: VecDeque::from(vec![Bounds::new(0.3, 0.6)]),
-            }],
+            frames: vec![frame(Op::And, &[], &[Bounds::new(0.3, 0.6)])],
             stats: CompileStats::default(),
             steps: 0,
             start: Instant::now(),

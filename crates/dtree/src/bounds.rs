@@ -62,37 +62,86 @@ impl Bounds {
     /// `P = 1 - Π (1 - Pᵢ)`, applied separately to lower and upper bounds
     /// (the formula is monotone in each argument).
     pub fn combine_or<I: IntoIterator<Item = Bounds>>(children: I) -> Bounds {
-        let mut lo_prod = 1.0;
-        let mut hi_prod = 1.0;
-        for b in children {
-            lo_prod *= 1.0 - b.lower;
-            hi_prod *= 1.0 - b.upper;
-        }
-        Bounds::new(1.0 - lo_prod, 1.0 - hi_prod)
+        Op::Or.combine(children)
     }
 
     /// Combines children bounds of an independent-and (⊙) node:
     /// `P = Π Pᵢ`.
     pub fn combine_and<I: IntoIterator<Item = Bounds>>(children: I) -> Bounds {
-        let mut lo = 1.0;
-        let mut hi = 1.0;
-        for b in children {
-            lo *= b.lower;
-            hi *= b.upper;
-        }
-        Bounds::new(lo, hi)
+        Op::And.combine(children)
     }
 
     /// Combines children bounds of an exclusive-or (⊕) node:
     /// `P = Σ Pᵢ` (children are mutually exclusive), clamped to 1.
     pub fn combine_xor<I: IntoIterator<Item = Bounds>>(children: I) -> Bounds {
-        let mut lo = 0.0;
-        let mut hi = 0.0;
+        Op::Xor.combine(children)
+    }
+}
+
+/// The operator of an inner d-tree node: independent-or (⊗),
+/// independent-and (⊙) or exclusive-or (⊕).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Or,
+    And,
+    Xor,
+}
+
+impl Op {
+    /// Combines children bounds by this node's rule (Proposition 5.4).
+    pub(crate) fn combine<I: IntoIterator<Item = Bounds>>(self, children: I) -> Bounds {
+        let mut fold = BoundsFold::new(self);
         for b in children {
-            lo += b.lower;
-            hi += b.upper;
+            fold.push(b);
         }
-        Bounds::new(lo.min(1.0), hi.min(1.0))
+        fold.finish()
+    }
+}
+
+/// The running state of [`Op::combine`]'s left fold over children bounds.
+/// Pushing children `c₁ … cₙ` and then finishing is bit-identical to
+/// combining `[c₁, …, cₙ]`, so a prefix of the children can be folded once
+/// and continued many times.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoundsFold {
+    op: Op,
+    lower: f64,
+    upper: f64,
+}
+
+impl BoundsFold {
+    /// The fold over no children.
+    pub(crate) fn new(op: Op) -> BoundsFold {
+        let start = if op == Op::Xor { 0.0 } else { 1.0 };
+        BoundsFold { op, lower: start, upper: start }
+    }
+
+    /// Folds in the next child.
+    #[inline]
+    pub(crate) fn push(&mut self, b: Bounds) {
+        match self.op {
+            Op::Or => {
+                self.lower *= 1.0 - b.lower;
+                self.upper *= 1.0 - b.upper;
+            }
+            Op::And => {
+                self.lower *= b.lower;
+                self.upper *= b.upper;
+            }
+            Op::Xor => {
+                self.lower += b.lower;
+                self.upper += b.upper;
+            }
+        }
+    }
+
+    /// The combined bounds of the children folded so far.
+    pub(crate) fn finish(self) -> Bounds {
+        match self.op {
+            Op::Or => Bounds::new(1.0 - self.lower, 1.0 - self.upper),
+            Op::And => Bounds::new(self.lower, self.upper),
+            Op::Xor => Bounds::new(self.lower.min(1.0), self.upper.min(1.0)),
+        }
     }
 }
 

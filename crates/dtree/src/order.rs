@@ -8,8 +8,6 @@
 //!   relations, which makes its positive cofactor subsume the rest,
 //! * the **most frequently occurring** variable as the general fallback.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use events::{DnfView, LineageArena, VarId, VarOrigins};
 
 /// Strategy for choosing the next variable to eliminate by Shannon expansion.
@@ -46,9 +44,14 @@ pub fn choose_variable(
                 .find(|v| present.contains(v))
                 .or_else(|| view.most_frequent_var(arena))
         }
-        VarOrder::IqThenFrequent => origins
-            .and_then(|o| choose_iq_variable(arena, view, o))
-            .or_else(|| view.most_frequent_var(arena)),
+        VarOrder::IqThenFrequent => match origins {
+            Some(origins) if !view.is_empty() && !view.is_tautology(arena) => {
+                // The fallback reads its counts off the same sort.
+                let occurrences = Occurrences::new(arena, view);
+                occurrences.iq_variable(origins).or_else(|| occurrences.most_frequent())
+            }
+            _ => view.most_frequent_var(arena),
+        },
     }
 }
 
@@ -59,9 +62,19 @@ pub fn choose_variable(
 /// appear anywhere in the DNF. For such a variable the co-factor of `v`
 /// subsumes `Φ|v`, which keeps the expansion linear (Theorem 6.9).
 ///
+/// Candidates are tested in ascending variable id order and the first that
+/// qualifies is returned. With a single relation every variable qualifies
+/// and the most frequent one is returned.
+///
 /// Returns `None` when no variable qualifies (e.g. the lineage is not from an
-/// IQ query), in which case the caller falls back to the most-frequent
+/// IQ query), when some variable has no origin, and for the empty and the
+/// tautological view; the caller then falls back to the most-frequent
 /// heuristic.
+///
+/// Cost: one sort of the view's `(variable, clause)` incidences, then
+/// `O(Σ|c|²)` over the clauses `c` to test every candidate — each candidate
+/// walks the clauses that hold it and counts the distinct variables they
+/// cover with a stamp array.
 pub fn choose_iq_variable(
     arena: &LineageArena,
     view: &DnfView,
@@ -70,46 +83,126 @@ pub fn choose_iq_variable(
     if view.is_empty() || view.is_tautology(arena) {
         return None;
     }
-    // Distinct variables per relation (origin group) in the whole DNF.
-    let mut per_relation: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
-    for clause in view.atoms(arena) {
-        for a in clause {
-            let group = origins.get(a.var)?;
-            per_relation.entry(group).or_default().insert(a.var);
-        }
-    }
-    if per_relation.len() < 2 {
-        // A single relation: any variable trivially qualifies; pick the most
-        // frequent to keep behaviour sensible.
-        return view.most_frequent_var(arena);
-    }
-    // Candidate variables, scanned in ascending id order for determinism.
-    let candidates: BTreeSet<VarId> = view.vars(arena);
-    for &v in &candidates {
-        let v_group = origins.get(v)?;
-        // Distinct variables per relation restricted to clauses containing v.
-        let mut restricted: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
+    Occurrences::new(arena, view).iq_variable(origins)
+}
+
+/// The `(variable, clause)` incidences of a view, sorted once: the variables
+/// get dense local ids in ascending id order, and each variable's run of
+/// incidences lists the clauses that hold it.
+struct Occurrences {
+    /// `(variable, clause position)` per atom, sorted.
+    pairs: Vec<(VarId, u32)>,
+    /// Local id `k` → start of variable `k`'s run in `pairs`; the last entry
+    /// is `pairs.len()`.
+    starts: Vec<u32>,
+    /// Number of clauses of the view.
+    clauses: usize,
+}
+
+impl Occurrences {
+    fn new(arena: &LineageArena, view: &DnfView) -> Occurrences {
+        let mut pairs = Vec::with_capacity(view.size(arena));
         for i in 0..view.len() {
-            if !view.mentions(arena, i, v) {
-                continue;
-            }
-            for a in view.clause(arena, i) {
-                let group = origins.get(a.var)?;
-                restricted.entry(group).or_default().insert(a.var);
+            pairs.extend(view.clause_slice(arena, i).iter().map(|a| (a.var, i as u32)));
+        }
+        pairs.sort_unstable();
+        let distinct = pairs.windows(2).filter(|w| w[0].0 != w[1].0).count() + 1;
+        let mut starts = Vec::with_capacity(distinct + 1);
+        for (p, &(var, _)) in pairs.iter().enumerate() {
+            if p == 0 || pairs[p - 1].0 != var {
+                starts.push(p as u32);
             }
         }
-        let qualifies = per_relation.iter().all(|(group, vars)| {
-            if *group == v_group {
-                true
-            } else {
-                restricted.get(group).map(|r| r.len() == vars.len()).unwrap_or(false)
-            }
-        });
-        if qualifies {
-            return Some(v);
-        }
+        starts.push(pairs.len() as u32);
+        Occurrences { pairs, starts, clauses: view.len() }
     }
-    None
+
+    fn num_vars(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The incidences of local variable `k`.
+    fn run(&self, k: usize) -> &[(VarId, u32)] {
+        &self.pairs[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    fn var(&self, k: usize) -> VarId {
+        self.pairs[self.starts[k] as usize].0
+    }
+
+    /// [`DnfView::most_frequent_var`] from the runs: the highest count wins,
+    /// the smallest id among ties.
+    fn most_frequent(&self) -> Option<VarId> {
+        let mut best: Option<(usize, usize)> = None;
+        for k in 0..self.num_vars() {
+            let count = self.run(k).len();
+            if best.map(|(_, c)| count > c).unwrap_or(true) {
+                best = Some((k, count));
+            }
+        }
+        best.map(|(k, _)| self.var(k))
+    }
+
+    /// [`choose_iq_variable`] on a non-empty, non-tautological view.
+    fn iq_variable(&self, origins: &VarOrigins) -> Option<VarId> {
+        let vars = self.num_vars();
+        let mut group = Vec::with_capacity(vars);
+        for k in 0..vars {
+            group.push(origins.get(self.var(k))?);
+        }
+        let mut sorted = group.clone();
+        sorted.sort_unstable();
+        if sorted.first() == sorted.last() {
+            // A single relation: any variable trivially qualifies; pick the
+            // most frequent to keep behaviour sensible.
+            return self.most_frequent();
+        }
+        // Local variable ids per clause, filled in variable order so each
+        // clause's list ascends. `at[c]` serves as clause `c`'s write cursor
+        // and ends as the start of clause `c + 1`.
+        let mut at = vec![0u32; self.clauses + 1];
+        for &(_, c) in &self.pairs {
+            at[c as usize + 1] += 1;
+        }
+        for c in 0..self.clauses {
+            at[c + 1] += at[c];
+        }
+        let mut clause_vars = vec![0u32; self.pairs.len()];
+        for k in 0..vars {
+            for &(_, c) in self.run(k) {
+                clause_vars[at[c as usize] as usize] = k as u32;
+                at[c as usize] += 1;
+            }
+        }
+        let clause = |c: u32| {
+            let end = at[c as usize] as usize;
+            let start = if c == 0 { 0 } else { at[c as usize - 1] as usize };
+            &clause_vars[start..end]
+        };
+        // Candidate `k` qualifies when the clauses holding it cover every
+        // variable outside its own group; `seen[u] == k` marks the
+        // variables counted for it.
+        let mut seen = vec![u32::MAX; vars];
+        for k in 0..vars {
+            let home = group[k];
+            let home_size =
+                sorted.partition_point(|&g| g <= home) - sorted.partition_point(|&g| g < home);
+            let need = vars - home_size;
+            let mut covered = 0;
+            for &(_, c) in self.run(k) {
+                for &u in clause(c) {
+                    if seen[u as usize] != k as u32 {
+                        seen[u as usize] = k as u32;
+                        covered += usize::from(group[u as usize] != home);
+                    }
+                }
+            }
+            if covered == need {
+                return Some(self.var(k));
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 use events::ProbabilitySpace;
 use events::{product_factorization_by, Atom, Clause, Dnf, DnfView, LineageArena, VarId};
 
-use crate::bounds::{dnf_bounds_view, Bounds};
+use crate::bounds::{dnf_bounds_view, Bounds, Op};
 use crate::cache::Memo;
 use crate::compile::CompileOptions;
 use crate::order::choose_variable;
@@ -23,13 +23,6 @@ use crate::stats::CompileStats;
 /// Identifier of a node inside a [`PartialDTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PartialNodeId(pub(crate) usize);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Op {
-    Or,
-    And,
-    Xor,
-}
 
 #[derive(Debug, Clone)]
 pub(crate) enum PNode {
@@ -425,12 +418,7 @@ mod tests {
         match tree.node(id) {
             PNode::Leaf { bounds, .. } => *bounds,
             PNode::Inner { op, children } => {
-                let kids = children.iter().map(|&c| bounds_of(tree, c));
-                match op {
-                    Op::Or => Bounds::combine_or(kids),
-                    Op::And => Bounds::combine_and(kids),
-                    Op::Xor => Bounds::combine_xor(kids),
-                }
+                op.combine(children.iter().map(|&c| bounds_of(tree, c)))
             }
         }
     }

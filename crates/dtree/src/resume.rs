@@ -630,8 +630,8 @@ impl ResumableCompilation {
     /// derivative of the node's combine rule with respect to that child,
     /// evaluated at the siblings' current bounds (lower bounds for ⊗ — the
     /// sensitivity of `1 − Π(1 − pⱼ)` — and upper bounds for ⊙).
-    fn child_factors(&self, op: crate::partial::Op, kids: &[usize], f: f64) -> Vec<f64> {
-        use crate::partial::Op;
+    fn child_factors(&self, op: crate::bounds::Op, kids: &[usize], f: f64) -> Vec<f64> {
+        use crate::bounds::Op;
         match op {
             Op::Xor => vec![f; kids.len()],
             Op::Or | Op::And => {
@@ -659,14 +659,8 @@ impl ResumableCompilation {
         }
     }
 
-    fn combine(&self, op: crate::partial::Op, kids: &[usize]) -> Bounds {
-        use crate::partial::Op;
-        let child_bounds = kids.iter().map(|&k| self.cur[k]);
-        match op {
-            Op::Or => Bounds::combine_or(child_bounds),
-            Op::And => Bounds::combine_and(child_bounds),
-            Op::Xor => Bounds::combine_xor(child_bounds),
-        }
+    fn combine(&self, op: crate::bounds::Op, kids: &[usize]) -> Bounds {
+        op.combine(kids.iter().map(|&k| self.cur[k]))
     }
 
     /// Recombines every ancestor of `node`, intersecting each with its
@@ -744,7 +738,7 @@ impl ResumableCompilation {
     /// Routes one appended clause down the subtree at `node`; see
     /// [`ResumableCompilation::apply_delta`] for the rules.
     fn route_clause(&mut self, node: usize, clause: &Clause, space: &ProbabilitySpace) {
-        use crate::partial::Op;
+        use crate::bounds::Op;
         let (op, kids) = match self.tree.node(PartialNodeId(node)) {
             PNode::Leaf { .. } => {
                 self.touch_leaf(node, clause, space);
@@ -887,7 +881,7 @@ impl ResumableCompilation {
     fn shannon_var(&self, kids: &[usize]) -> Option<VarId> {
         let &first = kids.first()?;
         match self.tree.node(PartialNodeId(first)) {
-            PNode::Inner { op: crate::partial::Op::And, children } => {
+            PNode::Inner { op: crate::bounds::Op::And, children } => {
                 self.tree.leaf_single_atom(*children.first()?).map(|a| a.var)
             }
             _ => None,
@@ -898,7 +892,7 @@ impl ResumableCompilation {
     /// child.
     fn find_branch(&self, kids: &[usize], var: VarId, value: u32) -> BranchLookup {
         for &b in kids {
-            let PNode::Inner { op: crate::partial::Op::And, children } =
+            let PNode::Inner { op: crate::bounds::Op::And, children } =
                 self.tree.node(PartialNodeId(b))
             else {
                 return BranchLookup::Malformed;
@@ -940,7 +934,7 @@ impl ResumableCompilation {
         let atom_leaf =
             self.tree.push_exact_atom_leaf(Atom::new(var, value), space.prob(var, value));
         let cof = self.tree.push_dnf_leaf(&Dnf::singleton(rest.clone()), space);
-        let branch = self.tree.push_inner(crate::partial::Op::And, vec![atom_leaf, cof]);
+        let branch = self.tree.push_inner(crate::bounds::Op::And, vec![atom_leaf, cof]);
         self.attach_new_subtree(xor, branch.0);
     }
 
@@ -1384,7 +1378,7 @@ mod tests {
     /// The number of children when the root is an ⊗ node.
     fn or_children(handle: &ResumableCompilation) -> Option<usize> {
         match handle.tree.node(handle.tree.root_id()) {
-            PNode::Inner { op: crate::partial::Op::Or, children } => Some(children.len()),
+            PNode::Inner { op: crate::bounds::Op::Or, children } => Some(children.len()),
             _ => None,
         }
     }

@@ -1,13 +1,13 @@
 //! Property-based tests for the d-tree compiler and approximation algorithm.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dtree::reference::dnf_bounds_reference;
 use dtree::{
-    compile, dnf_bounds, dnf_bounds_sorted, exact_probability, ApproxCompiler, ApproxOptions,
-    Bounds, CompileOptions,
+    choose_iq_variable, choose_variable, compile, dnf_bounds, dnf_bounds_sorted, exact_probability,
+    ApproxCompiler, ApproxOptions, Bounds, CompileOptions, VarOrder,
 };
-use events::{Atom, Clause, Dnf, ProbabilitySpace, VarId};
+use events::{Atom, Clause, Dnf, DnfView, LineageArena, ProbabilitySpace, VarId, VarOrigins};
 use proptest::prelude::*;
 
 /// Strategy producing a probability space and a random DNF over it.
@@ -227,6 +227,140 @@ proptest! {
             let slow = first_fit_oracle(&dnf, &space, &order);
             prop_assert_eq!(fast.lower.to_bits(), slow.lower.to_bits());
             prop_assert_eq!(fast.upper.to_bits(), slow.upper.to_bits());
+        }
+    }
+}
+
+/// Origin labels of the generated groups, deliberately not in generation
+/// order.
+const GROUP_LABELS: [u32; 4] = [7, 3, 11, 5];
+
+/// Strategy: a lineage over tuple-independent (Boolean) and BID
+/// (three-valued) variables in 1–4 origin groups, with clauses of mixed
+/// widths, plus the Shannon path `(variable pick, value pick)` that reaches
+/// the view under test. Variable `i` belongs to group `i % groups`, except
+/// `unlabelled` (when it is below the variable count), which has no origin.
+/// `product` shapes a third of the lineages as a product of the first two
+/// groups with a few extra clauses, where an IQ variable often exists; a
+/// quarter also hold the empty clause.
+fn arb_mixed_lineage() -> impl Strategy<Value = (ProbabilitySpace, Dnf, VarOrigins, Vec<(u32, u32)>)>
+{
+    (1usize..=4, 2usize..=9).prop_flat_map(|(groups, nvars)| {
+        let kinds = prop::collection::vec((prop::bool::ANY, 0.05f64..0.95), nvars);
+        let clauses = prop::collection::vec(
+            prop::collection::vec((0..nvars, 0..3u32), 1..=4usize),
+            1..=10usize,
+        );
+        let path = prop::collection::vec((0..1000u32, 0..3u32), 0..=2usize);
+        (kinds, clauses, 0..2 * nvars, 0..4u8, 0..3u8, path).prop_map(
+            move |(kinds, clauses, unlabelled, empty, product, path)| {
+                let mut space = ProbabilitySpace::new();
+                let mut origins = VarOrigins::new();
+                let vars: Vec<VarId> = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(bid, p))| {
+                        let var = if bid {
+                            space.add_discrete(format!("b{i}"), vec![1.0 - p, 0.6 * p, 0.4 * p])
+                        } else {
+                            space.add_bool(format!("x{i}"), p)
+                        };
+                        if i != unlabelled {
+                            origins.set(var, GROUP_LABELS[i % groups]);
+                        }
+                        var
+                    })
+                    .collect();
+                let atom =
+                    |i: usize, value: u32| Atom::new(vars[i], value % space.domain_size(vars[i]));
+                let mut clauses: Vec<Clause> = clauses
+                    .into_iter()
+                    .map(|atoms| Clause::from_atoms(atoms.into_iter().map(|(i, v)| atom(i, v))))
+                    .collect();
+                if product == 0 {
+                    // Every variable of group 0 with every one of group 1
+                    // (value 1), then two of the random clauses.
+                    let of = |g: usize| (0..nvars).filter(move |i| i % groups.max(2) == g);
+                    let mut crossed: Vec<Clause> = of(0)
+                        .flat_map(|i| {
+                            of(1).map(move |j| Clause::from_atoms([atom(i, 1), atom(j, 1)]))
+                        })
+                        .collect();
+                    crossed.extend(clauses.into_iter().take(2));
+                    clauses = crossed;
+                }
+                if empty == 0 {
+                    clauses.push(Clause::from_atoms(Vec::new()));
+                }
+                (space, Dnf::from_clauses(clauses), origins, path)
+            },
+        )
+    })
+}
+
+/// The tree-map IQ chooser that preceded the incidence sort, step for step
+/// over the view, as the oracle: distinct variables per origin group in the
+/// whole view, then per candidate in ascending id order the same count over
+/// the clauses that hold it.
+fn choose_iq_oracle(arena: &LineageArena, view: &DnfView, origins: &VarOrigins) -> Option<VarId> {
+    if view.is_empty() || view.is_tautology(arena) {
+        return None;
+    }
+    let mut per_relation: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
+    for clause in view.atoms(arena) {
+        for a in clause {
+            per_relation.entry(origins.get(a.var)?).or_default().insert(a.var);
+        }
+    }
+    if per_relation.len() < 2 {
+        return view.most_frequent_var(arena);
+    }
+    for v in view.vars(arena) {
+        let v_group = origins.get(v)?;
+        let mut restricted: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
+        for i in 0..view.len() {
+            if view.mentions(arena, i, v) {
+                for a in view.clause(arena, i) {
+                    restricted.entry(origins.get(a.var)?).or_default().insert(a.var);
+                }
+            }
+        }
+        let qualifies = per_relation.iter().all(|(group, vars)| {
+            *group == v_group
+                || restricted.get(group).map(|r| r.len() == vars.len()).unwrap_or(false)
+        });
+        if qualifies {
+            return Some(v);
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incidence-sort IQ chooser returns exactly the tree-map oracle's
+    /// variable (or `None`), and `IqThenFrequent` falls back to the most
+    /// frequent variable exactly where the oracle finds none, on roots and
+    /// on views reached by cofactoring.
+    #[test]
+    fn iq_choice_equals_tree_map_oracle((space, dnf, origins, path) in arb_mixed_lineage()) {
+        let (mut arena, mut view) = LineageArena::from_dnf(&dnf);
+        let mut path = path.into_iter();
+        loop {
+            let want = choose_iq_oracle(&arena, &view, &origins);
+            prop_assert_eq!(choose_iq_variable(&arena, &view, &origins), want);
+            prop_assert_eq!(
+                choose_variable(&arena, &view, &VarOrder::IqThenFrequent, Some(&origins)),
+                want.or_else(|| view.most_frequent_var(&arena))
+            );
+            let Some((pick, value)) = path.next() else { break };
+            if view.is_empty() || view.is_tautology(&arena) {
+                break;
+            }
+            let vars: Vec<VarId> = view.vars(&arena).into_iter().collect();
+            let var = vars[pick as usize % vars.len()];
+            view = view.cofactor(&mut arena, var, value % space.domain_size(var));
         }
     }
 }

@@ -23,12 +23,14 @@
 //! * `independent_components` and `remove_subsumed` only filter the id list
 //!   — **no clause is ever copied**;
 //! * `cofactor` / `shannon_cofactors` / `strip_vars` filter conflicting ids,
-//!   mask the restricted variable, and immediately **compact**: surviving
-//!   clauses are re-interned through the arena's content-dedup map — one
-//!   flat pool append per *distinct* clause content ever touched, no
-//!   per-clause heap allocations — so the returned views are mask-free and
-//!   every later access is a raw slice scan (masks are transient, which is
-//!   what keeps deep Shannon recursions fast);
+//!   mask the restricted variable, and immediately **compact**: the clauses
+//!   that bind a masked variable are re-interned through the arena's
+//!   content-dedup map — one flat pool append per *distinct* clause content
+//!   ever touched, no per-clause heap allocations — while every other
+//!   clause keeps its id and its place in canonical order, so only the
+//!   touched ids are sorted and merged back in. The returned views are
+//!   mask-free and every later access is a raw slice scan (masks are
+//!   transient, which is what keeps deep Shannon recursions fast);
 //! * `hash` combines the interned per-clause fingerprints instead of
 //!   re-walking every atom — O(clauses) memo keys.
 //!
@@ -45,8 +47,10 @@
 //!
 //! When views copy vs share:
 //!
-//! * share (index-only): component splits, subsumption removal, hashing,
-//!   bounds, variable choice, sampling;
+//! * share (index-only): component splits, subsumption removal (a
+//!   first-atom index over the narrower clauses, not all pairs), hashing,
+//!   bounds, variable choice (one sort of the `(variable, clause)`
+//!   incidences in `dtree::choose_iq_variable`), sampling;
 //! * pooled append of *distinct new* clause contents only: restrictions
 //!   (cofactor / Shannon / common-atom stripping — the content-dedup map
 //!   makes repeats free);
@@ -541,34 +545,61 @@ impl DnfView {
         Dnf::from_clauses((0..self.len()).map(|i| Clause::from_atoms(self.clause(arena, i))))
     }
 
-    /// Restores the canonical-order invariant over `ids`, applying the
-    /// transient restriction list `mask` (sorted variables to project out)
-    /// by **compacting**: the restricted clauses are re-interned into the
-    /// pool — one flat append per *distinct* clause content, no per-clause
-    /// allocations — so the returned view is mask-free and every later
-    /// access is a raw slice scan. Keeping restriction lists transient is
-    /// what makes deep Shannon recursions fast: the owned path pays the
-    /// restriction once per step too, but with one heap allocation per
-    /// clause; the arena pays one pooled append with content dedup.
-    fn canonicalize(arena: &mut LineageArena, mut ids: Vec<u32>, mask: &[VarId]) -> DnfView {
-        if !mask.is_empty() {
-            // Compact first — content-dedup in `push_clause` maps equal
-            // restricted clauses onto one id — then sort by raw slice
-            // comparison and drop adjacent duplicates by id.
-            let mut scratch: Vec<Atom> = Vec::new();
-            for id in &mut ids {
-                scratch.clear();
-                scratch.extend(
-                    arena
-                        .clause_atoms(*id)
-                        .iter()
-                        .copied()
-                        .filter(|a| mask.binary_search(&a.var).is_err()),
-                );
-                *id = arena.push_clause(&scratch);
+    /// Applies the transient restriction list `mask` (sorted variables to
+    /// project out) and restores the canonical-order invariant, by
+    /// **compacting**: each clause of `touched` (every clause that binds a
+    /// masked variable, possibly others, whose content comes back with its
+    /// own id) is re-interned without those atoms — one flat pool append
+    /// per *distinct* clause content, no per-clause allocations — so the
+    /// returned view is mask-free and every later access is a raw slice
+    /// scan. The clauses of `untouched` bind no masked variable and keep
+    /// their ids; they are a subsequence of a canonical list, hence still in
+    /// canonical order, so only the touched ids are sorted and then merged
+    /// into them. Clauses that the restriction made equal are merged into
+    /// one.
+    ///
+    /// Cost: `O(Σ|c|)` over the touched clauses `c` for the re-interning,
+    /// plus a sort of the touched ids and one merge; an untouched clause
+    /// costs one comparison in the merge. Keeping restriction lists
+    /// transient is what makes deep Shannon recursions fast: the owned path
+    /// pays the restriction once per step too, but with one heap allocation
+    /// per clause.
+    fn canonicalize(
+        arena: &mut LineageArena,
+        untouched: &[u32],
+        mut touched: Vec<u32>,
+        mask: &[VarId],
+    ) -> DnfView {
+        let mut scratch: Vec<Atom> = Vec::new();
+        for id in &mut touched {
+            scratch.clear();
+            scratch.extend(
+                arena
+                    .clause_atoms(*id)
+                    .iter()
+                    .copied()
+                    .filter(|a| mask.binary_search(&a.var).is_err()),
+            );
+            *id = arena.push_clause(&scratch);
+        }
+        touched.sort_unstable_by(|&a, &b| arena.clause_atoms(a).cmp(arena.clause_atoms(b)));
+        if untouched.is_empty() {
+            touched.dedup_by(|a, b| arena.clause_atoms(*a) == arena.clause_atoms(*b));
+            return DnfView { ids: touched };
+        }
+        let mut ids = Vec::with_capacity(untouched.len() + touched.len());
+        let (mut i, mut j) = (0, 0);
+        while i < untouched.len() && j < touched.len() {
+            if arena.clause_atoms(untouched[i]) <= arena.clause_atoms(touched[j]) {
+                ids.push(untouched[i]);
+                i += 1;
+            } else {
+                ids.push(touched[j]);
+                j += 1;
             }
         }
-        ids.sort_unstable_by(|&a, &b| arena.clause_atoms(a).cmp(arena.clause_atoms(b)));
+        ids.extend_from_slice(&untouched[i..]);
+        ids.extend_from_slice(&touched[j..]);
         ids.dedup_by(|a, b| arena.clause_atoms(*a) == arena.clause_atoms(*b));
         DnfView { ids }
     }
@@ -578,16 +609,15 @@ impl DnfView {
     /// restriction on `var` is compacted into the pool (see [`DnfView`]
     /// docs), so the returned view is mask-free.
     pub fn cofactor(&self, arena: &mut LineageArena, var: VarId, value: u32) -> DnfView {
-        let ids: Vec<u32> = self
-            .ids
-            .iter()
-            .copied()
-            .filter(|&id| match full_value_of(arena.clause_atoms(id), var) {
-                Some(v) => v == value,
-                None => true,
-            })
-            .collect();
-        DnfView::canonicalize(arena, ids, &[var])
+        let (mut untouched, mut touched) = (Vec::new(), Vec::new());
+        for &id in &self.ids {
+            match full_value_of(arena.clause_atoms(id), var) {
+                Some(v) if v == value => touched.push(id),
+                Some(_) => {}
+                None => untouched.push(id),
+            }
+        }
+        DnfView::canonicalize(arena, &untouched, touched, &[var])
     }
 
     /// All non-empty Shannon cofactors of `var` as `(value, cofactor)` pairs —
@@ -623,10 +653,7 @@ impl DnfView {
             if group.is_empty() && rest.is_empty() {
                 continue;
             }
-            let mut ids = Vec::with_capacity(group.len() + rest.len());
-            ids.extend_from_slice(group);
-            ids.extend_from_slice(&rest);
-            out.push((value, DnfView::canonicalize(arena, ids, &[var])));
+            out.push((value, DnfView::canonicalize(arena, &rest, group.to_vec(), &[var])));
         }
         out
     }
@@ -705,44 +732,59 @@ impl DnfView {
         let mut mask = vars.to_vec();
         mask.sort_unstable();
         mask.dedup();
-        DnfView::canonicalize(arena, self.ids.clone(), &mask)
+        // Common atoms occur in every clause, so every clause counts as
+        // touched; re-interning one that binds no masked variable returns
+        // its own id.
+        DnfView::canonicalize(arena, &[], self.ids.clone(), &mask)
     }
 
     /// Removes subsumed effective clauses — mirrors [`Dnf::remove_subsumed`]
     /// including its uniform-width fast path, returning `(view, removed)`.
+    ///
+    /// Clause contents are distinct, so a subsumer is strictly narrower and
+    /// the kept clauses are exactly the minimal ones, whatever order the
+    /// tests run in. The empty clause subsumes every other clause and is
+    /// handled on its own. Otherwise only clauses narrower than the widest
+    /// can subsume: they are indexed by their first atom, and each clause is
+    /// tested only against the subsumers keyed by one of its own atoms.
+    /// Cost: one sort of the candidate subsumers, then `O(Σ|c| · log n)`
+    /// lookups plus one sorted-merge test per (clause, subsumer keyed by one
+    /// of its atoms) pair, instead of all `n²` pairs.
     pub fn remove_subsumed(&self, arena: &LineageArena) -> (DnfView, usize) {
-        let uniform_width = match self.ids.first() {
-            Some(_) => {
-                let w = self.clause_len(arena, 0);
-                (1..self.len()).all(|i| self.clause_len(arena, i) == w)
-            }
-            None => true,
-        };
-        if uniform_width {
+        let n = self.len();
+        let widths = (0..n).map(|i| self.clause_len(arena, i));
+        let (narrowest, widest) =
+            widths.fold((usize::MAX, 0), |(lo, hi), w| (lo.min(w), hi.max(w)));
+        if narrowest >= widest {
+            // Uniform width (or no clause): nothing can be subsumed.
             return (self.clone(), 0);
         }
-        let mut keep = vec![true; self.len()];
-        for i in 0..self.len() {
-            if !keep[i] {
-                continue;
-            }
-            #[allow(clippy::needless_range_loop)] // `j` also indexes clauses
-            for j in 0..self.len() {
-                if i == j || !keep[j] {
-                    continue;
-                }
-                if subsumes_sorted(self.clause_slice(arena, i), self.clause_slice(arena, j)) {
-                    keep[j] = false;
-                }
+        if narrowest == 0 {
+            let empty = (0..n).find(|&i| self.clause_len(arena, i) == 0).expect("narrowest is 0");
+            return (DnfView { ids: vec![self.ids[empty]] }, n - 1);
+        }
+        let mut subsumers: Vec<(Atom, u32)> = (0..n)
+            .map(|i| (self.clause_slice(arena, i), i))
+            .filter(|(c, _)| c.len() < widest)
+            .map(|(c, i)| (c[0], i as u32))
+            .collect();
+        subsumers.sort_unstable();
+        let mut ids = Vec::with_capacity(n);
+        for (j, &id) in self.ids.iter().enumerate() {
+            let clause = self.clause_slice(arena, j);
+            let subsumed = clause.len() > narrowest
+                && clause.iter().enumerate().any(|(at, first)| {
+                    let from = subsumers.partition_point(|(a, _)| a < first);
+                    subsumers[from..].iter().take_while(|(a, _)| a == first).any(|&(_, i)| {
+                        let small = self.clause_slice(arena, i as usize);
+                        small.len() < clause.len() && subsumes_sorted(small, &clause[at..])
+                    })
+                });
+            if !subsumed {
+                ids.push(id);
             }
         }
-        let removed = keep.iter().filter(|&&k| !k).count();
-        let ids = self
-            .ids
-            .iter()
-            .zip(&keep)
-            .filter_map(|(&id, &k)| if k { Some(id) } else { None })
-            .collect();
+        let removed = n - ids.len();
         (DnfView { ids }, removed)
     }
 }

@@ -405,3 +405,169 @@ proptest! {
         );
     }
 }
+
+/// Strategy: a lineage over tuple-independent (Boolean) and BID
+/// (three-valued) variables in 1–4 origin groups, with clauses of mixed
+/// widths, plus the Shannon path `(variable pick, value pick)` that reaches
+/// the view under test. Variable `i` belongs to group `i % groups`, except
+/// `unlabelled` (when it is below the variable count), which has no origin.
+/// A quarter of the lineages also hold the empty clause.
+fn arb_mixed_lineage() -> impl Strategy<Value = (ProbabilitySpace, Dnf, VarOrigins, Vec<(u32, u32)>)>
+{
+    (1usize..=4, 2usize..=9).prop_flat_map(|(groups, nvars)| {
+        let kinds = prop::collection::vec((prop::bool::ANY, 0.05f64..0.95), nvars);
+        let clauses = prop::collection::vec(
+            prop::collection::vec((0..nvars, 0..3u32), 1..=4usize),
+            1..=10usize,
+        );
+        let path = prop::collection::vec((0..1000u32, 0..3u32), 0..=2usize);
+        (kinds, clauses, 0..2 * nvars, 0..4u8, path).prop_map(
+            move |(kinds, clauses, unlabelled, empty, path)| {
+                let mut space = ProbabilitySpace::new();
+                let mut origins = VarOrigins::new();
+                let vars: Vec<VarId> = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(bid, p))| {
+                        let var = if bid {
+                            space.add_discrete(format!("b{i}"), vec![1.0 - p, 0.6 * p, 0.4 * p])
+                        } else {
+                            space.add_bool(format!("x{i}"), p)
+                        };
+                        if i != unlabelled {
+                            origins.set(var, GROUP_LABELS[i % groups]);
+                        }
+                        var
+                    })
+                    .collect();
+                let mut clauses: Vec<Clause> = clauses
+                    .into_iter()
+                    .map(|atoms| {
+                        Clause::from_atoms(atoms.into_iter().map(|(i, value)| {
+                            Atom::new(vars[i], value % space.domain_size(vars[i]))
+                        }))
+                    })
+                    .collect();
+                if empty == 0 {
+                    clauses.push(Clause::from_atoms(Vec::new()));
+                }
+                (space, Dnf::from_clauses(clauses), origins, path)
+            },
+        )
+    })
+}
+
+/// The clauses of a view, in its order.
+fn view_clauses(arena: &LineageArena, view: &events::DnfView) -> Vec<Vec<Atom>> {
+    (0..view.len()).map(|i| view.clause_slice(arena, i).to_vec()).collect()
+}
+
+/// The clauses of an owned DNF, in its (canonical) order.
+fn dnf_clauses(dnf: &Dnf) -> Vec<Vec<Atom>> {
+    dnf.clauses().iter().map(|c| c.atoms().to_vec()).collect()
+}
+
+/// Every clause `i` not yet dropped drops every other live clause it is a
+/// subset of, over all ordered pairs: the subsumption loop that preceded
+/// the first-atom index, as the oracle. Returns the kept clauses in order
+/// and the number dropped.
+fn remove_subsumed_oracle(clauses: &[Vec<Atom>]) -> (Vec<Vec<Atom>>, usize) {
+    let subset = |small: &[Atom], big: &[Atom]| small.iter().all(|a| big.contains(a));
+    let mut keep = vec![true; clauses.len()];
+    for i in 0..clauses.len() {
+        if !keep[i] {
+            continue;
+        }
+        for j in 0..clauses.len() {
+            if i != j && keep[j] && subset(&clauses[i], &clauses[j]) {
+                keep[j] = false;
+            }
+        }
+    }
+    let kept: Vec<Vec<Atom>> =
+        clauses.iter().zip(&keep).filter(|(_, &k)| k).map(|(c, _)| c.clone()).collect();
+    let dropped = clauses.len() - kept.len();
+    (kept, dropped)
+}
+
+/// Walks `path` from the root on both the owned DNF and its view, stopping
+/// at a constant.
+fn reach(
+    arena: &mut LineageArena,
+    dnf: &Dnf,
+    space: &ProbabilitySpace,
+    path: &[(u32, u32)],
+) -> (Dnf, events::DnfView) {
+    let mut owned = dnf.clone();
+    let mut view = arena.intern(dnf);
+    for &(pick, value) in path {
+        if owned.is_empty() || owned.is_tautology() {
+            break;
+        }
+        let vars: Vec<VarId> = owned.vars().into_iter().collect();
+        let var = vars[pick as usize % vars.len()];
+        let value = value % space.domain_size(var);
+        owned = owned.cofactor(var, value);
+        view = view.cofactor(arena, var, value);
+    }
+    (owned, view)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The indexed subsumption removal keeps exactly the clauses the
+    /// all-pairs loop keeps, in the same order, and reports the same count.
+    #[test]
+    fn remove_subsumed_equals_all_pairs_oracle(
+        (space, dnf, _origins, path) in arb_mixed_lineage(),
+    ) {
+        let mut arena = LineageArena::new();
+        let (_, view) = reach(&mut arena, &dnf, &space, &path);
+        let (reduced, removed) = view.remove_subsumed(&arena);
+        let (kept, dropped) = remove_subsumed_oracle(&view_clauses(&arena, &view));
+        prop_assert_eq!(view_clauses(&arena, &reduced), kept);
+        prop_assert_eq!(removed, dropped);
+    }
+
+    /// `cofactor`, `shannon_cofactors` and `strip_vars` (of the common atoms
+    /// and of an arbitrary variable subset) give exactly the owned `Dnf`
+    /// operations' clauses, in canonical order, with the same hash.
+    #[test]
+    fn restrictions_equal_owned_operations(
+        (space, dnf, _origins, path) in arb_mixed_lineage(),
+        subset in 0u32..512,
+    ) {
+        let mut arena = LineageArena::new();
+        let (owned, view) = reach(&mut arena, &dnf, &space, &path);
+        prop_assert_eq!(view_clauses(&arena, &view), dnf_clauses(&owned));
+        let vars: Vec<VarId> = owned.vars().into_iter().collect();
+        for &var in &vars {
+            for value in 0..space.domain_size(var) {
+                let got = view.cofactor(&mut arena, var, value);
+                let want = owned.cofactor(var, value);
+                prop_assert_eq!(view_clauses(&arena, &got), dnf_clauses(&want));
+                prop_assert_eq!(got.hash(&arena), want.canonical_hash());
+            }
+            let got = view.shannon_cofactors(&mut arena, var, &space);
+            let want = owned.shannon_cofactors(var, &space);
+            prop_assert_eq!(got.len(), want.len());
+            for ((gv, g), (wv, w)) in got.iter().zip(&want) {
+                prop_assert_eq!(gv, wv);
+                prop_assert_eq!(view_clauses(&arena, g), dnf_clauses(w));
+                prop_assert_eq!(g.hash(&arena), w.canonical_hash());
+            }
+        }
+        let common = owned.common_atoms();
+        let common_vars: Vec<VarId> = common.iter().map(|a| a.var).collect();
+        let got = view.strip_vars(&mut arena, &common_vars);
+        prop_assert_eq!(view_clauses(&arena, &got), dnf_clauses(&owned.strip_atoms(&common)));
+        let picked: Vec<VarId> =
+            vars.iter().enumerate().filter(|(i, _)| subset >> (i % 9) & 1 == 1).map(|(_, &v)| v).collect();
+        let as_atoms: Vec<Atom> = picked.iter().map(|&v| Atom::new(v, 0)).collect();
+        let got = view.strip_vars(&mut arena, &picked);
+        let want = owned.strip_atoms(&as_atoms);
+        prop_assert_eq!(view_clauses(&arena, &got), dnf_clauses(&want));
+        prop_assert_eq!(got.hash(&arena), want.canonical_hash());
+    }
+}

@@ -118,41 +118,58 @@ fn single_subgoal_probability(
     bindings: &BTreeMap<String, Value>,
     db: &Database,
 ) -> f64 {
-    let mut complement = 1.0;
-    // Stream the subgoal's tuples straight from the store: SPROUT only needs
-    // each tuple's marginal, never the materialized relation.
-    'tuples: for tuple in db.scan(&sg.relation) {
-        // Check the tuple against constants, bound variables, and repeated
-        // variables within the subgoal.
-        let mut local: BTreeMap<&str, &Value> = BTreeMap::new();
-        for (pos, term) in sg.terms.iter().enumerate() {
-            match term {
-                Term::Const(c) => {
-                    if &tuple.values[pos] != c {
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => {
-                    if let Some(bound) = bindings.get(v) {
-                        if bound != &tuple.values[pos] {
-                            continue 'tuples;
-                        }
-                    } else if let Some(prev) = local.get(v.as_str()) {
-                        if *prev != &tuple.values[pos] {
-                            continue 'tuples;
-                        }
-                    } else {
-                        local.insert(v, &tuple.values[pos]);
+    let equal = fixed_positions(sg, bindings);
+    // Repeated unbound variables: each later position must equal the first.
+    let mut first: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut repeats: Vec<(usize, usize)> = Vec::new();
+    for (pos, term) in sg.terms.iter().enumerate() {
+        if let Term::Var(v) = term {
+            if !bindings.contains_key(v) {
+                match first.get(v.as_str()) {
+                    Some(&at) => repeats.push((pos, at)),
+                    None => {
+                        first.insert(v, pos);
                     }
                 }
             }
         }
-        // Tuple matches: the lineage of a base tuple is a single clause
-        // (one variable, or ⊤ for deterministic tuples).
-        let p = tuple.probability(db.space());
+    }
+    let mut complement = 1.0;
+    // Stream the subgoal's rows where they lie: SPROUT only needs each
+    // tuple's values and marginal, never an owned tuple.
+    let mut rows = db.rows(&sg.relation);
+    while let Some(row) = rows.next_row() {
+        if !equal.iter().all(|&(pos, value)| &row.values[pos] == value)
+            || !repeats.iter().all(|&(pos, at)| row.values[pos] == row.values[at])
+        {
+            continue;
+        }
+        // The lineage of a base tuple is a single clause (one variable, or
+        // ⊤ for deterministic tuples): its marginal is the product of its
+        // atoms' marginals, which is what enumerating its worlds sums to.
+        let p = match row.num_clauses() {
+            1 => row.clauses().flat_map(|c| c.iter()).map(|&a| db.space().atom_prob(a)).product(),
+            _ => row.to_tuple().probability(db.space()),
+        };
         complement *= 1.0 - p;
     }
     1.0 - complement
+}
+
+/// The `(position, value)` pairs a tuple must match for `sg` under
+/// `bindings`: its constants and its bound variables.
+fn fixed_positions<'a>(
+    sg: &'a SubGoal,
+    bindings: &'a BTreeMap<String, Value>,
+) -> Vec<(usize, &'a Value)> {
+    sg.terms
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, term)| match term {
+            Term::Const(c) => Some((pos, c)),
+            Term::Var(v) => bindings.get(v).map(|b| (pos, b)),
+        })
+        .collect()
 }
 
 /// Partitions subgoal indices into groups connected through shared unbound
@@ -221,27 +238,23 @@ fn candidate_values(
         if db.schema(&sg.relation).is_none() {
             return Vec::new();
         }
+        let equal = fixed_positions(sg, bindings);
+        let at_root: Vec<usize> = sg
+            .terms
+            .iter()
+            .enumerate()
+            .filter(|(_, term)| matches!(term, Term::Var(v) if v == root))
+            .map(|(pos, _)| pos)
+            .collect();
         let mut values = BTreeSet::new();
-        'tuples: for tuple in db.scan(&sg.relation) {
-            for (pos, term) in sg.terms.iter().enumerate() {
-                match term {
-                    Term::Const(c) => {
-                        if &tuple.values[pos] != c {
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => {
-                        if let Some(b) = bindings.get(v) {
-                            if b != &tuple.values[pos] {
-                                continue 'tuples;
-                            }
-                        }
-                    }
-                }
+        let mut rows = db.rows(&sg.relation);
+        while let Some(row) = rows.next_row() {
+            if !equal.iter().all(|&(pos, value)| &row.values[pos] == value) {
+                continue;
             }
-            for (pos, term) in sg.terms.iter().enumerate() {
-                if matches!(term, Term::Var(v) if v == root) {
-                    values.insert(tuple.values[pos].clone());
+            for &pos in &at_root {
+                if !values.contains(&row.values[pos]) {
+                    values.insert(row.values[pos].clone());
                 }
             }
         }
