@@ -368,10 +368,8 @@ impl DnfView {
     }
 
     /// The atoms of the clause at position `i` as a raw pooled slice,
-    /// borrowed straight from the arena. This is the zero-copy substrate
-    /// samplers build on (e.g. the arena-backed Karp-Luby estimator), where
-    /// the iterator wrapper of [`DnfView::clause`] would cost a pointer
-    /// chase per atom.
+    /// borrowed straight from the arena, for scans where the iterator
+    /// wrapper of [`DnfView::clause`] would cost a pointer chase per atom.
     #[inline]
     pub fn clause_slice<'a>(&self, arena: &'a LineageArena, i: usize) -> &'a [Atom] {
         arena.clause_atoms(self.ids[i])

@@ -106,11 +106,10 @@ pub struct McResult {
     pub elapsed: Duration,
 }
 
-/// The DKLR-driven Karp-Luby approximation, prepared for one DNF. The
-/// lifetime ties the estimator to the [`LineageArena`] it borrows.
+/// The DKLR-driven Karp-Luby approximation, prepared for one DNF.
 #[derive(Debug)]
-pub struct DklrEstimator<'a> {
-    kl: KarpLubyEstimator<'a>,
+pub struct DklrEstimator {
+    kl: KarpLubyEstimator,
     opts: McOptions,
 }
 
@@ -130,7 +129,7 @@ pub fn aconf_view(
     space: &ProbabilitySpace,
     opts: &McOptions,
 ) -> McResult {
-    DklrEstimator::from_arena(arena, view, space, opts.clone()).run(space)
+    DklrEstimator::from_arena(arena, view, space, opts.clone()).run()
 }
 
 struct Budget {
@@ -158,12 +157,12 @@ impl Budget {
     }
 }
 
-impl<'a> DklrEstimator<'a> {
-    /// Prepares the estimator for the lineage `view` interned in `arena`,
-    /// borrowing its clause storage (see [`KarpLubyEstimator::from_arena`]).
+impl DklrEstimator {
+    /// Prepares the estimator for the lineage `view` interned in `arena`
+    /// (see [`KarpLubyEstimator::from_arena`]).
     pub fn from_arena(
-        arena: &'a LineageArena,
-        view: &'a DnfView,
+        arena: &LineageArena,
+        view: &DnfView,
         space: &ProbabilitySpace,
         opts: McOptions,
     ) -> Self {
@@ -171,10 +170,22 @@ impl<'a> DklrEstimator<'a> {
     }
 
     /// Runs the three-phase DKLR schedule.
-    pub fn run(&self, space: &ProbabilitySpace) -> McResult {
+    ///
+    /// When every clause probability underflows to 0 (`U = 0`), no clause
+    /// can be sampled: the run draws nothing and reports the estimate 0,
+    /// unconverged, since the (ε, δ) guarantee was not earned.
+    pub fn run(&mut self) -> McResult {
         let start = Instant::now();
         if let Some(p) = self.kl.trivial_probability() {
             return McResult { estimate: p, samples: 0, converged: true, elapsed: start.elapsed() };
+        }
+        if self.kl.total_weight() <= 0.0 {
+            return McResult {
+                estimate: 0.0,
+                samples: 0,
+                converged: false,
+                elapsed: start.elapsed(),
+            };
         }
         let mut rng = match self.opts.seed {
             Some(seed) => StdRng::seed_from_u64(seed),
@@ -196,7 +207,7 @@ impl<'a> DklrEstimator<'a> {
         let delta1 = delta / 3.0;
         let upsilon1 = 1.0 + (1.0 + eps1) * upsilon(eps1, delta1);
         let (mu_hat, phase1_mean, stopped_early) =
-            self.stopping_rule(space, &mut rng, &mut budget, upsilon1);
+            self.stopping_rule(&mut rng, &mut budget, upsilon1);
         if stopped_early {
             return McResult {
                 estimate: (u * phase1_mean).clamp(0.0, 1.0),
@@ -220,8 +231,8 @@ impl<'a> DklrEstimator<'a> {
                     elapsed: start.elapsed(),
                 };
             }
-            let a = self.kl.sample_normalized(space, &mut rng);
-            let b = self.kl.sample_normalized(space, &mut rng);
+            let a = self.kl.sample_normalized(&mut rng);
+            let b = self.kl.sample_normalized(&mut rng);
             budget.samples += 2;
             sq_sum += (a - b) * (a - b) / 2.0;
             pairs += 1;
@@ -242,7 +253,7 @@ impl<'a> DklrEstimator<'a> {
                     elapsed: start.elapsed(),
                 };
             }
-            sum += self.kl.sample_normalized(space, &mut rng);
+            sum += self.kl.sample_normalized(&mut rng);
             budget.samples += 1;
             taken += 1;
         }
@@ -258,8 +269,7 @@ impl<'a> DklrEstimator<'a> {
     /// `threshold`; the estimate is `threshold / N`. Returns
     /// `(estimate, running_mean, stopped_early)`.
     fn stopping_rule<R: Rng + ?Sized>(
-        &self,
-        space: &ProbabilitySpace,
+        &mut self,
         rng: &mut R,
         budget: &mut Budget,
         threshold: f64,
@@ -271,7 +281,7 @@ impl<'a> DklrEstimator<'a> {
                 let mean = if n > 0 { sum / n as f64 } else { 0.0 };
                 return (mean, mean, true);
             }
-            sum += self.kl.sample_normalized(space, rng);
+            sum += self.kl.sample_normalized(rng);
             n += 1;
             budget.samples += 1;
         }
@@ -279,7 +289,7 @@ impl<'a> DklrEstimator<'a> {
     }
 
     /// The prepared Karp-Luby estimator (exposed for tests and benches).
-    pub fn estimator(&self) -> &KarpLubyEstimator<'a> {
+    pub fn estimator(&self) -> &KarpLubyEstimator {
         &self.kl
     }
 }
@@ -395,6 +405,28 @@ mod tests {
             tight.samples,
             loose.samples
         );
+    }
+
+    /// Regression test: one clause of 400 Boolean variables at p = 0.1 has
+    /// probability 1e-400, which underflows to `U = 0`. There is no clause
+    /// to sample from, so `aconf` draws nothing and reports an unconverged
+    /// 0 instead of panicking on the empty range `0.0..0.0`.
+    #[test]
+    fn underflowing_clause_weights_do_not_panic() {
+        let (s, vars) = bool_space(&[0.1; 400]);
+        let phi = Dnf::from_clauses(vec![Clause::from_bools(&vars)]);
+        for variant in [EstimatorVariant::Fractional, EstimatorVariant::ZeroOne] {
+            let opts = McOptions::new(0.1).with_seed(1).with_variant(variant);
+            let r = aconf(&phi, &s, &opts);
+            assert_eq!((r.estimate, r.samples, r.converged), (0.0, 0, false));
+            let (arena, view) = events::LineageArena::from_dnf(&phi);
+            let mut kl = KarpLubyEstimator::from_arena(&arena, &view, &s, variant);
+            assert_eq!(kl.total_weight(), 0.0);
+            let mut rng = StdRng::seed_from_u64(1);
+            assert_eq!(kl.sample_normalized(&mut rng), 0.0);
+            assert_eq!(kl.sample(&mut rng), 0.0);
+            assert_eq!(kl.estimate_with_samples(&mut rng, 10), 0.0);
+        }
     }
 
     #[test]

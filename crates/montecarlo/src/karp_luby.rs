@@ -16,9 +16,18 @@
 //!      paper adopts).
 //!
 //! Both are unbiased: the expectation of the returned value is exactly `p`.
+//!
+//! The estimator is prepared once per DNF: its variables get dense local ids
+//! in ascending variable order, and the clause atoms and the variables'
+//! distributions are copied into flat buffers. A sample then writes its
+//! world into one reused buffer over the local ids, with one uniform draw
+//! per unpinned variable in ascending local id, and scans the flat atoms
+//! against it, so sampling allocates nothing.
 
-use events::{DnfView, LineageArena, ProbabilitySpace, Valuation, VarId};
+use events::{DnfView, LineageArena, ProbabilitySpace};
 use rand::Rng;
+
+use crate::dense::DenseDnf;
 
 /// Which unbiased estimate to compute from a sampled world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,58 +43,54 @@ pub enum EstimatorVariant {
 
 /// A prepared Karp-Luby estimator for a fixed DNF.
 ///
-/// Preparation **borrows** the clauses of an interned lineage in place: the
-/// [`LineageArena`]'s pool (flat atoms, clauses as spans) is already exactly
-/// the layout the satisfaction scans want, so no atom is copied. It
-/// pre-computes clause probabilities, their cumulative distribution (for
-/// clause sampling), and the variable set of the DNF. Each call to
-/// [`KarpLubyEstimator::sample`] then costs one world sample plus one
-/// cache-friendly satisfaction scan over the pooled atoms.
+/// Preparation translates the lineage into a flat, dense form: the DNF's
+/// variables get local ids `0..n` in ascending [`VarId`](events::VarId)
+/// order, the clause atoms become one `(local id, value)` buffer with clause
+/// offsets, and each variable's distribution is copied into one flat buffer.
+/// It also pre-computes the clause probabilities and their cumulative
+/// distribution (for clause sampling). The estimator then owns everything it
+/// samples from, so it borrows neither the arena nor the probability space.
 ///
-/// The lifetime parameter is the borrowed arena's.
+/// Each call to [`KarpLubyEstimator::sample`] pins the chosen clause's atoms
+/// in a world buffer reused across samples, draws every other variable in
+/// ascending local id and scans the flat atoms, with an early exit per
+/// clause; it allocates nothing.
 #[derive(Debug, Clone)]
-pub struct KarpLubyEstimator<'a> {
-    arena: &'a LineageArena,
-    view: &'a DnfView,
+pub struct KarpLubyEstimator {
+    dnf: DenseDnf,
     clause_probs: Vec<f64>,
     cumulative: Vec<f64>,
     total_weight: f64,
-    vars: Vec<VarId>,
+    trivial: Option<f64>,
     variant: EstimatorVariant,
 }
 
-impl<'a> KarpLubyEstimator<'a> {
+impl KarpLubyEstimator {
     /// Prepares the estimator for the lineage `view` interned in `arena`.
     pub fn from_arena(
-        arena: &'a LineageArena,
-        view: &'a DnfView,
+        arena: &LineageArena,
+        view: &DnfView,
         space: &ProbabilitySpace,
         variant: EstimatorVariant,
-    ) -> KarpLubyEstimator<'a> {
+    ) -> KarpLubyEstimator {
         let n = view.len();
         let clause_probs: Vec<f64> =
             (0..n).map(|i| view.clause_probability(arena, space, i)).collect();
-        let vars: Vec<VarId> = view.vars(arena).into_iter().collect();
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
         for &p in &clause_probs {
             acc += p;
             cumulative.push(acc);
         }
-        KarpLubyEstimator {
-            arena,
-            view,
-            clause_probs,
-            cumulative,
-            total_weight: acc,
-            vars,
-            variant,
-        }
-    }
-
-    #[inline]
-    fn clause_atoms(&self, i: usize) -> &[events::Atom] {
-        self.view.clause_slice(self.arena, i)
+        let dnf = DenseDnf::new(arena, view, space);
+        let trivial = if n == 0 {
+            Some(0.0)
+        } else if dnf.has_empty_clause() {
+            Some(1.0)
+        } else {
+            None
+        };
+        KarpLubyEstimator { dnf, clause_probs, cumulative, total_weight: acc, trivial, variant }
     }
 
     /// The normalising constant `U = Σ P(cᵢ)` (an upper bound on the DNF
@@ -102,44 +107,43 @@ impl<'a> KarpLubyEstimator<'a> {
     /// `true` if the DNF is trivially false (no clauses) or trivially true
     /// (contains the empty clause); such inputs need no sampling.
     pub fn trivial_probability(&self) -> Option<f64> {
-        if self.num_clauses() == 0 {
-            return Some(0.0);
-        }
-        if (0..self.num_clauses()).any(|i| self.clause_atoms(i).is_empty()) {
-            return Some(1.0);
-        }
-        None
+        self.trivial
     }
 
     /// Draws one unbiased estimate of the DNF probability (a value in
     /// `[0, U]` whose expectation is the exact probability).
-    pub fn sample<R: Rng + ?Sized>(&self, space: &ProbabilitySpace, rng: &mut R) -> f64 {
-        self.total_weight * self.sample_normalized(space, rng)
+    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        self.total_weight * self.sample_normalized(rng)
     }
 
     /// Draws one *normalised* estimate in `[0, 1]` whose expectation is
     /// `p / U`; this is the form consumed by the stopping rules of the DKLR
     /// algorithm.
-    pub fn sample_normalized<R: Rng + ?Sized>(&self, space: &ProbabilitySpace, rng: &mut R) -> f64 {
-        if let Some(p) = self.trivial_probability() {
+    ///
+    /// When every clause probability underflows to 0 (so `U = 0`), no
+    /// clause can be sampled and the estimate is 0.
+    pub fn sample_normalized<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        if let Some(p) = self.trivial {
             // For trivial inputs the normalised estimate is p/U when U > 0 or
             // simply p (0 or 1) otherwise.
             return if self.total_weight > 0.0 { p / self.total_weight } else { p };
         }
+        if self.total_weight <= 0.0 {
+            return 0.0;
+        }
         // 1. Sample a clause index proportionally to its probability.
         let idx = self.sample_clause_index(rng);
         // 2. Sample a world conditioned on that clause being satisfied.
-        let world = self.sample_conditioned_world(idx, space, rng);
+        self.dnf.sample_world(Some(idx), rng);
         // 3. Count the satisfied clauses / find the minimum satisfied index.
         match self.variant {
             EstimatorVariant::Fractional => {
-                let count = self.count_satisfied(&world);
+                let count = self.dnf.count_satisfied();
                 debug_assert!(count >= 1, "conditioned world must satisfy the chosen clause");
                 1.0 / count as f64
             }
             EstimatorVariant::ZeroOne => {
-                let min_sat = self.min_satisfied(&world);
-                if min_sat == Some(idx) {
+                if self.dnf.first_satisfied() == Some(idx) {
                     1.0
                 } else {
                     0.0
@@ -160,53 +164,16 @@ impl<'a> KarpLubyEstimator<'a> {
         }
     }
 
-    fn sample_conditioned_world<R: Rng + ?Sized>(
-        &self,
-        clause_idx: usize,
-        space: &ProbabilitySpace,
-        rng: &mut R,
-    ) -> Valuation {
-        let mut world = Valuation::new();
-        // Pin the clause's variables.
-        for atom in self.clause_atoms(clause_idx) {
-            world.assign(atom.var, atom.value);
-        }
-        // Sample every other variable of the DNF from its marginal.
-        for &v in &self.vars {
-            if world.value(v).is_some() {
-                continue;
-            }
-            world.assign(v, sample_value(space, v, rng));
-        }
-        world
-    }
-
-    fn count_satisfied(&self, world: &Valuation) -> usize {
-        (0..self.num_clauses())
-            .filter(|&i| self.clause_atoms(i).iter().all(|a| world.value(a.var) == Some(a.value)))
-            .count()
-    }
-
-    fn min_satisfied(&self, world: &Valuation) -> Option<usize> {
-        (0..self.num_clauses())
-            .find(|&i| self.clause_atoms(i).iter().all(|a| world.value(a.var) == Some(a.value)))
-    }
-
     /// Average of `n` independent estimates — the plain (non-adaptive)
     /// Karp-Luby-Madras estimator.
-    pub fn estimate_with_samples<R: Rng + ?Sized>(
-        &self,
-        space: &ProbabilitySpace,
-        rng: &mut R,
-        n: usize,
-    ) -> f64 {
-        if let Some(p) = self.trivial_probability() {
+    pub fn estimate_with_samples<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) -> f64 {
+        if let Some(p) = self.trivial {
             return p;
         }
         if n == 0 {
             return 0.0;
         }
-        let sum: f64 = (0..n).map(|_| self.sample_normalized(space, rng)).sum();
+        let sum: f64 = (0..n).map(|_| self.sample_normalized(rng)).sum();
         self.total_weight * sum / n as f64
     }
 
@@ -216,23 +183,10 @@ impl<'a> KarpLubyEstimator<'a> {
     }
 }
 
-fn sample_value<R: Rng + ?Sized>(space: &ProbabilitySpace, var: VarId, rng: &mut R) -> u32 {
-    let domain = space.domain_size(var);
-    let mut target = rng.gen_range(0.0..1.0);
-    for value in 0..domain {
-        let p = space.prob(var, value);
-        if target < p {
-            return value;
-        }
-        target -= p;
-    }
-    domain - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use events::{Clause, Dnf};
+    use events::{Clause, Dnf, VarId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -263,8 +217,8 @@ mod tests {
     }
 
     /// An estimator over a private copy of the formula (the fresh arena
-    /// `aconf(&Dnf)` interns into) and one borrowing a shared arena that
-    /// already holds other clauses draw bit-identical seeded streams; so do
+    /// `aconf(&Dnf)` interns into) and one prepared from a shared arena
+    /// that already holds other clauses draw bit-identical seeded streams; so do
     /// seeded `aconf(&Dnf)` and `aconf_view`, for both estimator variants.
     #[test]
     fn arena_backed_estimator_is_bit_identical_to_copying_path() {
@@ -275,8 +229,8 @@ mod tests {
         shared.intern(&other);
         let view = shared.intern(&phi);
         for variant in [EstimatorVariant::Fractional, EstimatorVariant::ZeroOne] {
-            let copied = KarpLubyEstimator::from_arena(&copy, &copy_view, &s, variant);
-            let borrowed = KarpLubyEstimator::from_arena(&shared, &view, &s, variant);
+            let mut copied = KarpLubyEstimator::from_arena(&copy, &copy_view, &s, variant);
+            let mut borrowed = KarpLubyEstimator::from_arena(&shared, &view, &s, variant);
             assert_eq!(copied.total_weight().to_bits(), borrowed.total_weight().to_bits());
             assert_eq!(copied.clause_probabilities(), borrowed.clause_probabilities());
             assert_eq!(copied.num_clauses(), borrowed.num_clauses());
@@ -286,14 +240,14 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(0xa11e7a);
             let mut rng_b = StdRng::seed_from_u64(0xa11e7a);
             for _ in 0..200 {
-                let a = copied.sample_normalized(&s, &mut rng_a);
-                let b = borrowed.sample_normalized(&s, &mut rng_b);
+                let a = copied.sample_normalized(&mut rng_a);
+                let b = borrowed.sample_normalized(&mut rng_b);
                 assert_eq!(a.to_bits(), b.to_bits());
             }
             let mut rng_a = StdRng::seed_from_u64(0x5eed);
             let mut rng_b = StdRng::seed_from_u64(0x5eed);
-            let ea = copied.estimate_with_samples(&s, &mut rng_a, 500);
-            let eb = borrowed.estimate_with_samples(&s, &mut rng_b, 500);
+            let ea = copied.estimate_with_samples(&mut rng_a, 500);
+            let eb = borrowed.estimate_with_samples(&mut rng_b, 500);
             assert_eq!(ea.to_bits(), eb.to_bits());
             let opts =
                 crate::McOptions::new(0.1).with_delta(0.05).with_seed(7).with_variant(variant);
@@ -312,10 +266,10 @@ mod tests {
         let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         assert_eq!(est.trivial_probability(), Some(0.0));
         let (arena, view) = LineageArena::from_dnf(&Dnf::tautology());
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         assert_eq!(est.trivial_probability(), Some(1.0));
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(est.estimate_with_samples(&s, &mut rng, 10), 1.0);
+        assert_eq!(est.estimate_with_samples(&mut rng, 10), 1.0);
     }
 
     #[test]
@@ -323,9 +277,9 @@ mod tests {
         let (s, phi) = example_dnf();
         let exact = phi.exact_probability_enumeration(&s);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(42);
-        let approx = est.estimate_with_samples(&s, &mut rng, 40_000);
+        let approx = est.estimate_with_samples(&mut rng, 40_000);
         assert!(
             (approx - exact).abs() < 0.01,
             "Karp-Luby fractional estimate {approx} too far from exact {exact}"
@@ -337,9 +291,9 @@ mod tests {
         let (s, phi) = example_dnf();
         let exact = phi.exact_probability_enumeration(&s);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::ZeroOne);
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::ZeroOne);
         let mut rng = StdRng::seed_from_u64(7);
-        let approx = est.estimate_with_samples(&s, &mut rng, 60_000);
+        let approx = est.estimate_with_samples(&mut rng, 60_000);
         assert!(
             (approx - exact).abs() < 0.015,
             "Karp-Luby zero-one estimate {approx} too far from exact {exact}"
@@ -350,10 +304,10 @@ mod tests {
     fn normalized_samples_are_within_unit_interval() {
         let (s, phi) = example_dnf();
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
-            let x = est.sample_normalized(&s, &mut rng);
+            let x = est.sample_normalized(&mut rng);
             assert!((0.0..=1.0).contains(&x), "normalised sample {x} outside [0,1]");
         }
     }
@@ -370,9 +324,9 @@ mod tests {
         ]);
         let exact = phi.exact_probability_enumeration(&s);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(11);
-        let approx = est.estimate_with_samples(&s, &mut rng, 50_000);
+        let approx = est.estimate_with_samples(&mut rng, 50_000);
         assert!(exact > 0.0);
         let rel_err = (approx - exact).abs() / exact;
         assert!(rel_err < 0.05, "relative error {rel_err} too large ({approx} vs {exact})");
@@ -389,9 +343,9 @@ mod tests {
         ]);
         let exact = phi.exact_probability_enumeration(&s);
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(23);
-        let approx = est.estimate_with_samples(&s, &mut rng, 40_000);
+        let approx = est.estimate_with_samples(&mut rng, 40_000);
         assert!((approx - exact).abs() < 0.01, "{approx} vs {exact}");
     }
 
@@ -399,8 +353,8 @@ mod tests {
     fn zero_samples_return_zero() {
         let (s, phi) = example_dnf();
         let (arena, view) = LineageArena::from_dnf(&phi);
-        let est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
+        let mut est = KarpLubyEstimator::from_arena(&arena, &view, &s, EstimatorVariant::default());
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(est.estimate_with_samples(&s, &mut rng, 0), 0.0);
+        assert_eq!(est.estimate_with_samples(&mut rng, 0), 0.0);
     }
 }

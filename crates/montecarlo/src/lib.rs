@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod dense;
 mod dklr;
 mod karp_luby;
 mod naive;

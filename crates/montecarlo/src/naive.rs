@@ -10,10 +10,11 @@
 
 use std::time::{Duration, Instant};
 
-use events::{Dnf, DnfView, LineageArena, ProbabilitySpace, Valuation, VarId};
+use events::{Dnf, DnfView, LineageArena, ProbabilitySpace};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::dense::DenseDnf;
 use crate::dklr::McResult;
 
 /// Options for the naive sampler.
@@ -71,8 +72,10 @@ pub fn naive_monte_carlo(dnf: &Dnf, space: &ProbabilitySpace, opts: &NaiveOption
     naive_monte_carlo_view(&arena, &root, space, opts)
 }
 
-/// [`naive_monte_carlo`] on an interned lineage: the sampler evaluates
-/// clause satisfaction against the arena view directly. Seeded runs are
+/// [`naive_monte_carlo`] on an interned lineage. The view is translated once
+/// into the samplers' flat, dense form (see [`crate::KarpLubyEstimator`]);
+/// each sample draws every variable in ascending variable order into one
+/// reused world buffer, so sampling allocates nothing. Seeded runs are
 /// bit-identical to [`naive_monte_carlo`] on the materialised formula.
 pub fn naive_monte_carlo_view(
     arena: &LineageArena,
@@ -91,7 +94,7 @@ pub fn naive_monte_carlo_view(
         Some(seed) => StdRng::seed_from_u64(seed),
         None => StdRng::from_entropy(),
     };
-    let vars: Vec<VarId> = view.vars(arena).into_iter().collect();
+    let mut dnf = DenseDnf::new(arena, view, space);
     let target = opts.samples.unwrap_or_else(|| opts.hoeffding_samples());
     let mut hits = 0u64;
     let mut taken = 0u64;
@@ -101,14 +104,8 @@ pub fn naive_monte_carlo_view(
                 break;
             }
         }
-        let mut world = Valuation::new();
-        for &v in &vars {
-            world.assign(v, sample_value(space, v, &mut rng));
-        }
-        // Mirrors `Valuation::satisfies` on the view's clause iterators.
-        let satisfied =
-            view.atoms(arena).any(|mut clause| clause.all(|a| world.value(a.var) == Some(a.value)));
-        if satisfied {
+        dnf.sample_world(None, &mut rng);
+        if dnf.first_satisfied().is_some() {
             hits += 1;
         }
         taken += 1;
@@ -117,23 +114,10 @@ pub fn naive_monte_carlo_view(
     McResult { estimate, samples: taken, converged: taken >= target, elapsed: start.elapsed() }
 }
 
-fn sample_value<R: Rng + ?Sized>(space: &ProbabilitySpace, var: VarId, rng: &mut R) -> u32 {
-    let domain = space.domain_size(var);
-    let mut target = rng.gen_range(0.0..1.0);
-    for value in 0..domain {
-        let p = space.prob(var, value);
-        if target < p {
-            return value;
-        }
-        target -= p;
-    }
-    domain - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use events::Clause;
+    use events::{Clause, VarId};
 
     fn bool_space(ps: &[f64]) -> (ProbabilitySpace, Vec<VarId>) {
         let mut s = ProbabilitySpace::new();

@@ -46,7 +46,7 @@ proptest! {
         let exact = dnf.exact_probability_enumeration(&space);
         let (arena, view) = LineageArena::from_dnf(&dnf);
         for variant in [EstimatorVariant::ZeroOne, EstimatorVariant::Fractional] {
-            let kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
+            let mut kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
             if let Some(p) = kl.trivial_probability() {
                 prop_assert!((p - exact).abs() < 1e-9);
                 continue;
@@ -55,7 +55,7 @@ proptest! {
             let n = 4000;
             let mut sum = 0.0;
             for _ in 0..n {
-                sum += kl.sample_normalized(&space, &mut rng);
+                sum += kl.sample_normalized(&mut rng);
             }
             let estimate = kl.total_weight() * sum / n as f64;
             prop_assert!(
@@ -72,13 +72,13 @@ proptest! {
         let (space, dnf) = build(&ps, &cs);
         let (arena, view) = LineageArena::from_dnf(&dnf);
         let variance = |variant| {
-            let kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
+            let mut kl = KarpLubyEstimator::from_arena(&arena, &view, &space, variant);
             if kl.trivial_probability().is_some() {
                 return 0.0;
             }
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 3000;
-            let samples: Vec<f64> = (0..n).map(|_| kl.sample_normalized(&space, &mut rng)).collect();
+            let samples: Vec<f64> = (0..n).map(|_| kl.sample_normalized(&mut rng)).collect();
             let mean = samples.iter().sum::<f64>() / n as f64;
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64
         };

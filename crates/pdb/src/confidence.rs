@@ -687,6 +687,23 @@ mod tests {
         assert!(r.lower > 0.0 && r.upper < 1.0, "{r:?}");
     }
 
+    /// Regression test: a clause whose probability underflows to 0 leaves
+    /// `aconf` no clause to sample from. Both Monte-Carlo methods answer
+    /// without panicking, and `aconf` reports the vacuous [0, 1].
+    #[test]
+    fn underflowing_lineage_reports_vacuous_interval() {
+        let mut space = ProbabilitySpace::new();
+        let vars: Vec<_> = (0..400).map(|i| space.add_bool(format!("x{i}"), 0.1)).collect();
+        let lineage = Dnf::from_clauses(vec![events::Clause::from_bools(&vars)]);
+        let budget = ConfidenceBudget::default();
+        let kl = ConfidenceMethod::KarpLuby { epsilon: 0.1, delta: 0.01 };
+        let r = confidence_with(&lineage, &space, None, &kl, &budget, Some(1), None);
+        assert_eq!((r.estimate, r.lower, r.upper, r.converged), (0.0, 0.0, 1.0, false), "{r:?}");
+        let naive = ConfidenceMethod::NaiveMonteCarlo { epsilon: 0.1 };
+        let r = confidence_with(&lineage, &space, None, &naive, &budget, Some(1), None);
+        assert_eq!((r.estimate, r.lower), (0.0, 0.0), "{r:?}");
+    }
+
     #[test]
     fn seeded_monte_carlo_is_reproducible() {
         let (db, lineage) = sample_lineage();
