@@ -23,11 +23,14 @@
 //! * [`ClusterEngine::maintain_batch`] runs one round of **streaming
 //!   maintenance** across the shards — the workspace's one maintenance loop,
 //!   with [`ClusterEngine::with_shards`]`(1)` as its sequential case: pooled
-//!   d-tree frontiers absorb per-item lineage deltas in place, the scheduler
-//!   orders the dirtied items by how much their delta widened the bounds,
-//!   and items whose bounds stayed within the guarantee are served as
-//!   zero-work snapshots. Each pooled frontier keeps its width-vs-budget
-//!   refinement curve ([`ResumableConfidence::width_curve`]).
+//!   d-tree frontiers absorb per-item lineage deltas in place, on as many
+//!   threads as there are shards; items whose bounds stayed within the
+//!   guarantee are served as zero-work snapshots straight from the pool;
+//!   the rest go to their home shard (by item index, so a frontier stays on
+//!   one shard while its lineage grows), which refines them in order of how
+//!   much their delta widened the bounds. Each pooled frontier keeps its
+//!   width-vs-budget refinement curve
+//!   ([`ResumableConfidence::width_curve`]).
 //!
 //! **Sharding never changes answers.** For the deterministic d-tree methods
 //! the cluster is bit-identical to [`ConfidenceEngine::confidence_batch`];
@@ -68,7 +71,8 @@ mod hardness;
 mod router;
 mod scheduler;
 
-use std::sync::{Arc, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dtree::{CacheStats, SubformulaCache};
@@ -236,6 +240,26 @@ struct Plan {
     representative: Vec<usize>,
     /// Capture resumable frontiers on fresh d-tree runs.
     capture: bool,
+    /// Route work to shard `index % shards` instead of through the
+    /// partitioner, so an item's frontier keeps one home shard across
+    /// maintenance rounds while its lineage, and hence its hash, grows.
+    route_by_index: bool,
+}
+
+/// Items per block that a maintenance pre-pass thread claims at a time
+/// ([`ClusterEngine::absorb_all`]): small enough that a round's few hundred
+/// deltas spread over many blocks, large enough that claiming stays cheap.
+const ABSORB_BLOCK: usize = 64;
+
+/// One item's outcome of the maintenance pre-pass
+/// ([`ClusterEngine::absorb`]).
+enum Absorbed {
+    /// Within its guarantee: served as this zero-work snapshot, its frontier
+    /// left in the pool.
+    Snapshot(ConfidenceResult),
+    /// To schedule with this width-regression score, resuming the handle
+    /// (`None`: compile from scratch).
+    Work(f64, Option<ResumableConfidence>),
 }
 
 /// A sharded, deadline-aware confidence service above
@@ -318,7 +342,12 @@ impl ClusterEngine {
         self
     }
 
-    /// Sets the partitioning policy (default: [`HashPartitioner`]).
+    /// Sets the partitioning policy of [`ClusterEngine::confidence_batch`]
+    /// (default: [`HashPartitioner`]). Hash routing keeps a lineage on one
+    /// shard across batches only while the lineage is unchanged;
+    /// maintenance rounds ([`ClusterEngine::maintain_batch`]) ignore the
+    /// partitioner and route item `i` to shard `i mod shards`, so a growing
+    /// item keeps its home shard.
     pub fn with_partitioner(mut self, partitioner: Arc<dyn Partitioner>) -> Self {
         self.partitioner = partitioner;
         self
@@ -424,6 +453,7 @@ impl ClusterEngine {
             // Capturing frontiers costs a little on every fresh run; only
             // pay it when refinement rounds could actually resume them.
             capture: self.budget.timeout.is_some(),
+            route_by_index: false,
         };
         self.run(start, &lineages, space, origins, plan).0
     }
@@ -439,19 +469,26 @@ impl ClusterEngine {
     /// frontiers between rounds, keyed by item index: keep one pool per
     /// (answer set, method) pair.
     ///
-    /// A sequential pre-pass takes each item's pooled handle, fails closed
-    /// on stale handles ([`ResumableConfidence::is_current`]), and absorbs
-    /// the delta in place ([`ResumableConfidence::apply_delta`]). Items
-    /// whose bounds still satisfy the error guarantee afterwards are served
-    /// as zero-work snapshots and never reach the scheduler. The rest are
-    /// routed to shards and ordered by **width regression** — how much the
-    /// delta widened the item's interval (items needing a scratch recompile
-    /// score the maximal 1.0) — so the items the stream dirtied hardest
-    /// refine first. The scheduler then resumes the seeded frontiers (or
-    /// recompiles, capturing fresh frontiers) exactly as in a batch run,
-    /// deadline slicing and work stealing included; surviving handles,
-    /// converged or not, return to `pool`, where [`ResumablePool::get`]
-    /// exposes each one's width curve.
+    /// A pre-pass first visits every item's pool slot in place, on up to
+    /// [`ClusterEngine::shards`] threads that claim blocks of items: it fails
+    /// closed on a stale handle ([`ResumableConfidence::is_current`]) and
+    /// absorbs the delta ([`ResumableConfidence::apply_delta`]) behind a
+    /// fault boundary of its own — a panic there, real or injected at the
+    /// `"cluster.absorb"` failpoint (keyed by item index), drops the item's
+    /// handle and recompiles the item. Items whose bounds still satisfy the
+    /// error guarantee afterwards are served as zero-work snapshots; their
+    /// frontiers never leave the pool. The rest leave it for the scheduler:
+    /// item `i` starts on shard `i mod shards` — by index, not through the
+    /// [`Partitioner`], because a growing lineage changes its hash but not
+    /// its index, so a frontier keeps one home shard across rounds — and
+    /// each shard orders its items by **width regression**, how much the
+    /// delta widened the interval (a scratch recompile scores the maximal
+    /// 1.0), so the items the stream dirtied hardest refine first. The
+    /// scheduler then resumes the frontiers (or recompiles, capturing fresh
+    /// ones) exactly as in a batch run, deadline slicing and work stealing
+    /// included; surviving handles, converged or not, return to `pool`,
+    /// where [`ResumablePool::get`] exposes each one's width curve. Neither
+    /// the thread count nor the routing changes a result bit.
     ///
     /// Without a timeout the round is one scheduling pass, so the per-path
     /// counts read off [`ClusterBatchResult::shards`]: `executed − resumed`
@@ -479,44 +516,35 @@ impl ClusterEngine {
 
         // Pre-pass: absorb every delta into its pooled frontier and decide
         // per item whether any scheduling is needed at all.
+        let absorbed: Vec<Absorbed> = if self.method.is_deterministic() {
+            let prepass = Instant::now();
+            let absorbed = pool.slots_mut(n, |slots| self.absorb_all(slots, deltas, space));
+            self.obs.histogram("cluster.prepass_seconds").record_duration(prepass.elapsed());
+            absorbed
+        } else {
+            // No incremental path: every item recompiles, and the pool
+            // stays untouched.
+            (0..n).map(|_| Absorbed::Work(1.0, None)).collect()
+        };
         let mut work: Vec<usize> = Vec::new();
         let mut scores: Vec<f64> = vec![0.0; n];
         let mut handles: Vec<Option<ResumableConfidence>> = Vec::with_capacity(n);
-        let mut settled: Vec<Option<ConfidenceResult>> = vec![None; n];
-        for (i, delta) in deltas.iter().enumerate() {
-            let mut handle = if self.method.is_deterministic() { pool.take(i) } else { None };
-            // Fail closed up front: a handle pinned to an invalidated space
-            // can neither absorb a delta nor resume — recompiling
-            // immediately avoids burning a slice on its poisoned bounds.
-            if handle.as_ref().is_some_and(|h| !h.is_current(space)) {
-                handle = None;
-            }
-            let width_before = handle.as_ref().map_or(0.0, ResumableConfidence::remaining_width);
-            if let (Some(h), Some(delta)) = (handle.as_mut(), delta) {
-                if !delta.is_empty() && !h.apply_delta(space, delta) {
-                    handle = None;
-                }
-            }
-            match handle {
-                Some(h) if h.is_converged() => {
-                    // The delta left the bounds within the guarantee:
-                    // zero-work snapshot; the frontier stays pooled for the
-                    // next delta.
-                    settled[i] = Some(h.snapshot_result());
-                    pool.insert(i, h);
+        let mut settled: Vec<Option<ConfidenceResult>> = Vec::with_capacity(n);
+        for (i, item) in absorbed.into_iter().enumerate() {
+            match item {
+                Absorbed::Snapshot(r) => {
+                    settled.push(Some(r));
                     handles.push(None);
-                    continue;
                 }
-                // Order dirtied items by how much the delta widened their
-                // interval — the regression this round must claw back.
-                Some(ref h) => scores[i] = (h.remaining_width() - width_before).max(0.0),
-                // Scratch recompiles forfeit all prior refinement: the
-                // maximal regression an interval can suffer.
-                None => scores[i] = 1.0,
+                Absorbed::Work(score, handle) => {
+                    scores[i] = score;
+                    settled.push(None);
+                    handles.push(handle);
+                    work.push(i);
+                }
             }
-            handles.push(handle);
-            work.push(i);
         }
+        self.obs.counter("cluster.snapshots").add((n - work.len()) as u64);
         let plan = Plan {
             work,
             scores: Some(scores),
@@ -526,6 +554,7 @@ impl ClusterEngine {
             // Surviving frontiers outlive the run in the caller's pool,
             // making the *next* round's deltas cheap.
             capture: true,
+            route_by_index: true,
         };
 
         let (out, survivors) = self.run(start, &lineages, space, origins, plan);
@@ -535,6 +564,110 @@ impl ClusterEngine {
             }
         }
         out
+    }
+
+    /// The maintenance pre-pass over the pool slots of items `0..n`
+    /// ([`ClusterEngine::absorb`] per item), outcomes in input order. With
+    /// more than one shard and more than one block of items, the calling
+    /// thread and `shards − 1` scoped threads claim [`ABSORB_BLOCK`]-item
+    /// blocks until none is left, so one costly delta holds up only its own
+    /// block; each item's outcome depends on nothing but the item, so the
+    /// claim order never shows in the results.
+    fn absorb_all(
+        &self,
+        slots: &mut [Option<ResumableConfidence>],
+        deltas: &[Option<LineageDelta>],
+        space: &ProbabilitySpace,
+    ) -> Vec<Absorbed> {
+        let absorbed = self.obs.counter("cluster.deltas_absorbed");
+        let block = |first: usize, slots: &mut [Option<ResumableConfidence>]| -> Vec<Absorbed> {
+            let deltas = &deltas[first..first + slots.len()];
+            let items = slots.iter_mut().zip(deltas).enumerate();
+            items
+                .map(|(k, (slot, d))| self.absorb(first + k, slot, d.as_ref(), space, &absorbed))
+                .collect()
+        };
+        if self.shards == 1 || slots.len() <= ABSORB_BLOCK {
+            return block(0, slots);
+        }
+        let blocks = Mutex::new(slots.chunks_mut(ABSORB_BLOCK).enumerate());
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let next = blocks.lock().expect("block claims never panic").next();
+                let Some((b, slots)) = next else { return done };
+                done.push((b, block(b * ABSORB_BLOCK, slots)));
+            }
+        };
+        let mut done: Vec<(usize, Vec<Absorbed>)> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.shards).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for h in helpers {
+                done.extend(h.join().expect("absorb panics are caught per item"));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(b, _)| b);
+        done.into_iter().flat_map(|(_, outcomes)| outcomes).collect()
+    }
+
+    /// Absorbs item `i`'s delta into its pooled frontier `slot` behind a
+    /// fault boundary, the one part of a maintenance round outside the
+    /// scheduler's. A stale handle ([`ResumableConfidence::is_current`])
+    /// or one that cannot absorb the delta is dropped. A handle still
+    /// within its guarantee afterwards stays in `slot` and answers with a
+    /// zero-work snapshot; any other handle leaves the pool for the
+    /// scheduler, scored by **width regression** — how much the delta
+    /// widened its interval — and an item with no usable handle recompiles
+    /// with the maximal score 1.0. A panic — injected at the
+    /// `"cluster.absorb"` failpoint, keyed by the item index, or a real one
+    /// — drops the handle, whose state the unwind may have left half
+    /// updated, and recompiles the item.
+    fn absorb(
+        &self,
+        i: usize,
+        slot: &mut Option<ResumableConfidence>,
+        delta: Option<&LineageDelta>,
+        space: &ProbabilitySpace,
+        absorbed: &obs::Counter,
+    ) -> Absorbed {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            self.fault
+                .check_at("cluster.absorb", i as u64)
+                .unwrap_or_else(|e| panic!("injected absorb fault: {e}"));
+            // Fail closed up front: a handle pinned to an invalidated space
+            // can neither absorb a delta nor resume — recompiling
+            // immediately avoids burning a slice on its poisoned bounds.
+            if slot.as_ref().is_some_and(|h| !h.is_current(space)) {
+                *slot = None;
+            }
+            let h = slot.as_mut()?;
+            let width_before = h.remaining_width();
+            if let Some(delta) = delta.filter(|d| !d.is_empty()) {
+                if !h.apply_delta(space, delta) {
+                    *slot = None;
+                    return None;
+                }
+                absorbed.inc();
+            }
+            if h.is_converged() {
+                // The bounds stayed within the guarantee: the frontier
+                // stays pooled for the next delta.
+                return Some(Absorbed::Snapshot(h.snapshot_result()));
+            }
+            // Order dirtied items by how much the delta widened their
+            // interval — the regression this round must claw back.
+            let score = (h.remaining_width() - width_before).max(0.0);
+            Some(Absorbed::Work(score, slot.take()))
+        }));
+        match run {
+            Ok(Some(a)) => a,
+            Ok(None) => Absorbed::Work(1.0, None),
+            Err(_) => {
+                *slot = None;
+                Absorbed::Work(1.0, None)
+            }
+        }
     }
 
     /// The one scheduling run behind both entry points: score the planned
@@ -567,6 +700,12 @@ impl ClusterEngine {
             // 1-shard cluster stays close to the plain engine on warm,
             // cache-hit-dominated batches.
             vec![plan.work]
+        } else if plan.route_by_index {
+            let mut queues = vec![Vec::new(); self.shards];
+            for &i in &plan.work {
+                queues[i % self.shards].push(i);
+            }
+            queues
         } else {
             let items: Vec<RouteItem<'_>> = plan
                 .work

@@ -6,12 +6,23 @@
 //! correct; policies differ in balance and cache locality:
 //!
 //! * [`HashPartitioner`] routes by canonical lineage hash: deterministic,
-//!   stateless, and stable across batches, so repeated queries land on the
-//!   same shard and hit that shard's warm cache.
+//!   stateless, and stable across batches for *unchanged* lineages, so
+//!   repeated queries land on the same shard and hit that shard's warm
+//!   cache. A lineage that grows between batches gets a new hash and may
+//!   move.
 //! * [`SizeBalancedPartitioner`] bin-packs by estimated hardness (greedy
 //!   longest-processing-time): each item goes to the currently lightest
 //!   shard, so total estimated work is balanced even when a few lineages
 //!   dominate the batch.
+//!
+//! Partitioners route [`ClusterEngine::confidence_batch`] only. Maintenance
+//! rounds ([`ClusterEngine::maintain_batch`]) ignore the partitioner and
+//! route item `i` to shard `i mod shards`: an item's index stays put while
+//! its lineage, and hence its hash, grows, so its pooled frontier keeps one
+//! home shard.
+//!
+//! [`ClusterEngine::confidence_batch`]: crate::ClusterEngine::confidence_batch
+//! [`ClusterEngine::maintain_batch`]: crate::ClusterEngine::maintain_batch
 
 use events::{Dnf, DnfHash};
 

@@ -89,6 +89,14 @@ impl PartialDTree {
         &self.nodes[id.0]
     }
 
+    /// The children of an inner node (none for a leaf).
+    pub(crate) fn children(&self, id: PartialNodeId) -> &[PartialNodeId] {
+        match self.node(id) {
+            PNode::Inner { children, .. } => children,
+            PNode::Leaf { .. } => &[],
+        }
+    }
+
     pub(crate) fn root_id(&self) -> PartialNodeId {
         self.root
     }

@@ -583,14 +583,15 @@ impl ResumableCompilation {
             PNode::Leaf { bounds, .. } => {
                 self.cur[id] = *bounds;
             }
-            PNode::Inner { op, children } => {
-                let op = *op;
-                let kids: Vec<usize> = children.iter().map(|c| c.0).collect();
-                for &k in &kids {
+            PNode::Inner { children, .. } => {
+                // Filling a subtree never reshapes the tree, so the child
+                // count and each `children[j]` stay put across the recursion.
+                for j in 0..children.len() {
+                    let k = self.tree.children(PartialNodeId(id))[j].0;
                     self.parent[k] = Some(id);
                     self.fill_subtree(k);
                 }
-                self.cur[id] = self.combine(op, &kids);
+                self.cur[id] = self.combine(id);
             }
         }
     }
@@ -615,11 +616,10 @@ impl ResumableCompilation {
                 }
             }
             PNode::Inner { op, children } => {
-                let op = *op;
-                let kids: Vec<usize> = children.iter().map(|c| c.0).collect();
+                let child_factors = self.child_factors(*op, children, f);
                 self.factor[id] = f;
-                let child_factors = self.child_factors(op, &kids, f);
-                for (&k, fk) in kids.iter().zip(child_factors) {
+                for (j, fk) in child_factors.into_iter().enumerate() {
+                    let k = self.tree.children(PartialNodeId(id))[j].0;
                     self.assign_factors(k, fk);
                 }
             }
@@ -630,19 +630,12 @@ impl ResumableCompilation {
     /// derivative of the node's combine rule with respect to that child,
     /// evaluated at the siblings' current bounds (lower bounds for ⊗ — the
     /// sensitivity of `1 − Π(1 − pⱼ)` — and upper bounds for ⊙).
-    fn child_factors(&self, op: crate::bounds::Op, kids: &[usize], f: f64) -> Vec<f64> {
+    fn child_factors(&self, op: crate::bounds::Op, kids: &[PartialNodeId], f: f64) -> Vec<f64> {
         use crate::bounds::Op;
         match op {
             Op::Xor => vec![f; kids.len()],
             Op::Or | Op::And => {
-                let terms: Vec<f64> = kids
-                    .iter()
-                    .map(|&k| match op {
-                        Op::Or => 1.0 - self.cur[k].lower,
-                        Op::And => self.cur[k].upper,
-                        Op::Xor => unreachable!(),
-                    })
-                    .collect();
+                let terms: Vec<f64> = kids.iter().map(|&k| self.factor_term(op, k)).collect();
                 // Product of all terms except each index, via prefix/suffix
                 // products (⊗ nodes can be very wide).
                 let n = terms.len();
@@ -659,8 +652,47 @@ impl ResumableCompilation {
         }
     }
 
-    fn combine(&self, op: crate::bounds::Op, kids: &[usize]) -> Bounds {
-        op.combine(kids.iter().map(|&k| self.cur[k]))
+    /// Entry `idx` of [`ResumableCompilation::child_factors`] without its
+    /// vectors: the same prefix and suffix products, folded in the same
+    /// order, so the bits agree.
+    fn child_factor(
+        &self,
+        op: crate::bounds::Op,
+        kids: &[PartialNodeId],
+        idx: usize,
+        f: f64,
+    ) -> f64 {
+        use crate::bounds::Op;
+        match op {
+            Op::Xor => f,
+            Op::Or | Op::And => {
+                let term = |acc: f64, &k: &PartialNodeId| acc * self.factor_term(op, k);
+                let prefix = kids[..idx].iter().fold(1.0, term);
+                let suffix = kids[idx + 1..].iter().rev().fold(1.0, term);
+                f * prefix * suffix
+            }
+        }
+    }
+
+    /// Child `k`'s term in the sibling products of
+    /// [`ResumableCompilation::child_factors`]: `1 − lower` under ⊗, `upper`
+    /// under ⊙.
+    fn factor_term(&self, op: crate::bounds::Op, k: PartialNodeId) -> f64 {
+        use crate::bounds::Op;
+        match op {
+            Op::Or => 1.0 - self.cur[k.0].lower,
+            Op::And => self.cur[k.0].upper,
+            Op::Xor => unreachable!("⊕ children inherit the parent's factor"),
+        }
+    }
+
+    /// Inner node `id`'s interval, combined from its children's current
+    /// ones.
+    fn combine(&self, id: usize) -> Bounds {
+        match self.tree.node(PartialNodeId(id)) {
+            PNode::Inner { op, children } => op.combine(children.iter().map(|k| self.cur[k.0])),
+            PNode::Leaf { .. } => unreachable!("parents are inner nodes"),
+        }
     }
 
     /// Recombines every ancestor of `node`, intersecting each with its
@@ -668,14 +700,7 @@ impl ResumableCompilation {
     /// under floating-point rounding.
     fn propagate_up(&mut self, mut node: usize) {
         while let Some(p) = self.parent[node] {
-            let (op, kids) = match self.tree.node(PartialNodeId(p)) {
-                PNode::Inner { op, children } => {
-                    (*op, children.iter().map(|c| c.0).collect::<Vec<usize>>())
-                }
-                PNode::Leaf { .. } => unreachable!("parents are inner nodes"),
-            };
-            let combined = self.combine(op, &kids);
-            self.cur[p] = intersect(combined, self.cur[p]);
+            self.cur[p] = intersect(self.combine(p), self.cur[p]);
             node = p;
         }
     }
@@ -739,45 +764,44 @@ impl ResumableCompilation {
     /// [`ResumableCompilation::apply_delta`] for the rules.
     fn route_clause(&mut self, node: usize, clause: &Clause, space: &ProbabilitySpace) {
         use crate::bounds::Op;
-        let (op, kids) = match self.tree.node(PartialNodeId(node)) {
+        let op = match self.tree.node(PartialNodeId(node)) {
             PNode::Leaf { .. } => {
                 self.touch_leaf(node, clause, space);
                 return;
             }
-            // ⊗ routing reads the node's owner map, not its children.
-            PNode::Inner { op: Op::Or, .. } => (Op::Or, Vec::new()),
-            PNode::Inner { op, children } => {
-                (*op, children.iter().map(|c| c.0).collect::<Vec<usize>>())
-            }
+            PNode::Inner { op, .. } => *op,
         };
         match op {
+            // ⊗ routing reads the node's owner map, not its children.
             Op::Or => self.route_or(node, clause, space),
             Op::And => {
                 // Factored-out atoms (exact singleton-atom leaves) the clause
                 // also binds can be stripped; the remainder routes into the
                 // single residual child.
                 let mut strip: Vec<VarId> = Vec::new();
-                let mut rest: Vec<usize> = Vec::new();
-                for &k in &kids {
-                    match self.tree.leaf_single_atom(PartialNodeId(k)) {
+                let (mut residual, mut rest) = (None, 0);
+                for &k in self.tree.children(PartialNodeId(node)) {
+                    match self.tree.leaf_single_atom(k) {
                         Some(a) if clause.value_of(a.var) == Some(a.value) => strip.push(a.var),
-                        _ => rest.push(k),
+                        _ => {
+                            residual.get_or_insert(k.0);
+                            rest += 1;
+                        }
                     }
                 }
-                if rest.is_empty() {
+                match residual {
                     // The clause binds every factor atom and possibly more:
                     // it is subsumed by the ⊙ node's formula — a no-op.
-                    return;
-                }
-                if rest.len() == 1 {
-                    let stripped = clause.project_out(&|v: VarId| strip.contains(&v));
-                    self.route_clause(rest[0], &stripped, space);
-                } else {
-                    self.dirty_rebuild(node, clause, space);
+                    None => {}
+                    Some(k) if rest == 1 => {
+                        let stripped = clause.project_out(&|v: VarId| strip.contains(&v));
+                        self.route_clause(k, &stripped, space);
+                    }
+                    Some(_) => self.dirty_rebuild(node, clause, space),
                 }
             }
             Op::Xor => {
-                let Some(var) = self.shannon_var(&kids) else {
+                let Some(var) = self.shannon_var(node) else {
                     self.dirty_rebuild(node, clause, space);
                     return;
                 };
@@ -786,7 +810,7 @@ impl ResumableCompilation {
                         let rest = clause
                             .restrict(var, value)
                             .expect("a consistent clause never conflicts with its own binding");
-                        match self.find_branch(&kids, var, value) {
+                        match self.find_branch(node, var, value) {
                             BranchLookup::Found(cof) => self.route_clause(cof, &rest, space),
                             BranchLookup::Missing => {
                                 self.grow_xor_branch(node, var, value, &rest, space)
@@ -801,13 +825,10 @@ impl ResumableCompilation {
                         for value in 0..space.domain_size(var) {
                             // Re-scan the children: earlier iterations may
                             // have grown branches.
-                            let kids_now = match self.tree.node(PartialNodeId(node)) {
-                                PNode::Inner { children, .. } => {
-                                    children.iter().map(|c| c.0).collect::<Vec<usize>>()
-                                }
-                                PNode::Leaf { .. } => return, // dirty-rebuilt
-                            };
-                            match self.find_branch(&kids_now, var, value) {
+                            if let PNode::Leaf { .. } = self.tree.node(PartialNodeId(node)) {
+                                return; // dirty-rebuilt
+                            }
+                            match self.find_branch(node, var, value) {
                                 BranchLookup::Found(cof) => {
                                     self.route_clause(cof, clause, space);
                                 }
@@ -878,9 +899,9 @@ impl ResumableCompilation {
     /// The Shannon variable of an ⊕ node, read off the first branch's atom
     /// leaf (`None` if the branch structure is not the expected
     /// `⊙(atom, cofactor)` — the caller falls back to a dirty rebuild).
-    fn shannon_var(&self, kids: &[usize]) -> Option<VarId> {
-        let &first = kids.first()?;
-        match self.tree.node(PartialNodeId(first)) {
+    fn shannon_var(&self, xor: usize) -> Option<VarId> {
+        let &first = self.tree.children(PartialNodeId(xor)).first()?;
+        match self.tree.node(first) {
             PNode::Inner { op: crate::bounds::Op::And, children } => {
                 self.tree.leaf_single_atom(*children.first()?).map(|a| a.var)
             }
@@ -888,13 +909,11 @@ impl ResumableCompilation {
         }
     }
 
-    /// Locates the ⊕ branch binding `var = value`, returning its cofactor
-    /// child.
-    fn find_branch(&self, kids: &[usize], var: VarId, value: u32) -> BranchLookup {
-        for &b in kids {
-            let PNode::Inner { op: crate::bounds::Op::And, children } =
-                self.tree.node(PartialNodeId(b))
-            else {
+    /// Locates the branch of ⊕ node `xor` binding `var = value`, returning
+    /// its cofactor child.
+    fn find_branch(&self, xor: usize, var: VarId, value: u32) -> BranchLookup {
+        for &b in self.tree.children(PartialNodeId(xor)) {
+            let PNode::Inner { op: crate::bounds::Op::And, children } = self.tree.node(b) else {
                 return BranchLookup::Malformed;
             };
             if children.len() != 2 {
@@ -988,8 +1007,9 @@ impl ResumableCompilation {
                 }
             }
             PNode::Inner { children, .. } => {
-                let kids: Vec<usize> = children.iter().map(|c| c.0).collect();
-                for k in kids {
+                // Retiring only bumps stamps: the tree keeps its shape.
+                for j in 0..children.len() {
+                    let k = self.tree.children(PartialNodeId(node))[j].0;
                     self.retire_subtree(k);
                 }
             }
@@ -1026,16 +1046,14 @@ impl ResumableCompilation {
     fn factor_from_parent(&self, node: usize) -> f64 {
         match self.parent[node] {
             None => 1.0,
-            Some(p) => {
-                let (op, kids) = match self.tree.node(PartialNodeId(p)) {
-                    PNode::Inner { op, children } => {
-                        (*op, children.iter().map(|c| c.0).collect::<Vec<usize>>())
-                    }
-                    PNode::Leaf { .. } => unreachable!("parents are inner nodes"),
-                };
-                let idx = kids.iter().position(|&k| k == node).expect("child of its parent");
-                self.child_factors(op, &kids, self.factor[p])[idx]
-            }
+            Some(p) => match self.tree.node(PartialNodeId(p)) {
+                PNode::Inner { op, children } => {
+                    let idx =
+                        children.iter().position(|k| k.0 == node).expect("child of its parent");
+                    self.child_factor(*op, children, idx, self.factor[p])
+                }
+                PNode::Leaf { .. } => unreachable!("parents are inner nodes"),
+            },
         }
     }
 
@@ -1055,13 +1073,7 @@ impl ResumableCompilation {
     /// accumulated (still sound) intervals.
     fn refresh_up(&mut self, mut node: usize) {
         while let Some(p) = self.parent[node] {
-            let (op, kids) = match self.tree.node(PartialNodeId(p)) {
-                PNode::Inner { op, children } => {
-                    (*op, children.iter().map(|c| c.0).collect::<Vec<usize>>())
-                }
-                PNode::Leaf { .. } => unreachable!("parents are inner nodes"),
-            };
-            self.cur[p] = self.combine(op, &kids);
+            self.cur[p] = self.combine(p);
             node = p;
         }
     }

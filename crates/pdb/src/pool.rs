@@ -22,16 +22,20 @@
 //!   recompiled. Evicted items simply fall back to scratch compilation on
 //!   their next maintenance round; eviction never changes results, only work.
 
-use std::collections::HashMap;
-
 use crate::confidence::ResumableConfidence;
 
 /// Bounded, width-aware store of [`ResumableConfidence`] handles keyed by the
 /// item's index in its batch. See the [module documentation](self).
+///
+/// Keys are batch indices, so the store is a dense table: `slots[key]` holds
+/// the handle pooled under `key`, which gives [`ResumablePool::slots_mut`]
+/// callers one disjoint slot per item to update in place.
 #[derive(Debug, Clone)]
 pub struct ResumablePool {
     capacity: usize,
-    handles: HashMap<usize, ResumableConfidence>,
+    slots: Vec<Option<ResumableConfidence>>,
+    /// Number of `Some` slots.
+    len: usize,
     evictions: u64,
 }
 
@@ -40,7 +44,7 @@ impl ResumablePool {
     /// stores nothing (every insert is dropped); maintenance then degrades to
     /// recompiling every item, which stays correct.
     pub fn new(capacity: usize) -> Self {
-        ResumablePool { capacity, handles: HashMap::new(), evictions: 0 }
+        ResumablePool { capacity, slots: Vec::new(), len: 0, evictions: 0 }
     }
 
     /// The configured maximum number of live handles.
@@ -50,12 +54,12 @@ impl ResumablePool {
 
     /// Number of handles currently held.
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.len
     }
 
     /// `true` when no handles are held.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.len == 0
     }
 
     /// Number of handles evicted (or rejected at capacity) so far.
@@ -72,47 +76,88 @@ impl ResumablePool {
         if handle.failed() {
             return;
         }
-        self.handles.insert(key, handle);
-        while self.handles.len() > self.capacity {
+        if self.slots.len() <= key {
+            self.slots.resize_with(key + 1, || None);
+        }
+        if self.slots[key].replace(handle).is_none() {
+            self.len += 1;
+        }
+        self.evict_to_capacity();
+    }
+
+    /// Evicts the widest handles until at most `capacity` remain.
+    fn evict_to_capacity(&mut self) {
+        while self.len > self.capacity {
             // Widest remaining interval = least invested refinement; ties
             // break toward the larger key so eviction is deterministic.
             let victim = self
-                .handles
+                .slots
                 .iter()
-                .map(|(&k, h)| (h.remaining_width(), k))
+                .enumerate()
+                .filter_map(|(k, h)| Some((h.as_ref()?.remaining_width(), k)))
                 .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 .map(|(_, k)| k)
                 .expect("over-capacity pool is non-empty");
-            self.handles.remove(&victim);
+            self.slots[victim] = None;
+            self.len -= 1;
             self.evictions += 1;
         }
     }
 
     /// Removes and returns the handle for `key`, if held.
     pub fn take(&mut self, key: usize) -> Option<ResumableConfidence> {
-        self.handles.remove(&key)
+        let handle = self.slots.get_mut(key)?.take();
+        self.len -= usize::from(handle.is_some());
+        handle
     }
 
     /// The handle for `key`, if held. Maintenance callers read per-item
     /// diagnostics ([`ResumableConfidence::width_curve`],
     /// [`ResumableConfidence::remaining_width`]) through this.
     pub fn get(&self, key: usize) -> Option<&ResumableConfidence> {
-        self.handles.get(&key)
+        self.slots.get(key)?.as_ref()
     }
 
     /// `true` when a handle for `key` is held.
     pub fn contains(&self, key: usize) -> bool {
-        self.handles.contains_key(&key)
+        self.get(key).is_some()
     }
 
-    /// Keys of all held handles, in unspecified order.
+    /// Keys of all held handles, in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = usize> + '_ {
-        self.handles.keys().copied()
+        self.slots.iter().enumerate().filter_map(|(k, h)| h.as_ref().map(|_| k))
     }
 
     /// Drops every handle (the eviction counter survives).
     pub fn clear(&mut self) {
-        self.handles.clear();
+        self.slots.clear();
+        self.len = 0;
+    }
+
+    /// Runs `f` on the slots of keys `0..n` — `slots[key]` is `Some` exactly
+    /// when a handle is pooled under `key` — so a caller can update many
+    /// handles in place, for instance from several threads over disjoint
+    /// sub-slices, without a `take` and `insert` per key. Afterwards the
+    /// pool upholds its invariants as [`ResumablePool::insert`] does: failed
+    /// handles are dropped, and if `f` stored more handles than the
+    /// capacity allows, the widest are evicted.
+    pub fn slots_mut<R>(
+        &mut self,
+        n: usize,
+        f: impl FnOnce(&mut [Option<ResumableConfidence>]) -> R,
+    ) -> R {
+        if self.slots.len() < n {
+            self.slots.resize_with(n, || None);
+        }
+        let out = f(&mut self.slots[..n]);
+        for slot in &mut self.slots[..n] {
+            if slot.as_ref().is_some_and(ResumableConfidence::failed) {
+                *slot = None;
+            }
+        }
+        self.len = self.slots.iter().filter(|h| h.is_some()).count();
+        self.evict_to_capacity();
+        out
     }
 }
 

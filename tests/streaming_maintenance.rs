@@ -379,3 +379,204 @@ fn delta_rounds_resume_pooled_frontiers() {
         assert!((r.results[0].estimate - exact).abs() < 1e-6 * exact + 1e-12);
     }
 }
+
+/// One prepared maintenance stream over many items: every round's lineages
+/// and deltas, built up front over one space so that each configuration
+/// replays exactly the same rounds.
+struct WideStream {
+    space: ProbabilitySpace,
+    rounds: Vec<BatchRound>,
+}
+
+/// A `n`-item stream whose items cycle through four kinds: a two-clause
+/// lineage that converges at once and never changes (a converged quiet
+/// item), a 20-variable chain that every budgeted round truncates and no
+/// delta touches (an unconverged quiet item), a chain that grows by one
+/// clause over a fresh variable each round (a delta'd item), and a chain
+/// whose every delta is `Some` but empty. Every round but the last runs
+/// under a 1-step budget; the last is unbudgeted.
+fn wide_stream(n: usize, rounds: usize) -> WideStream {
+    let mut space = ProbabilitySpace::new();
+    let mut lineages: Vec<Dnf> = (0..n)
+        .map(|k| {
+            let len = if k % 4 == 0 { 3 } else { 12 + k % 9 };
+            let vars: Vec<_> = (0..len)
+                .map(|i| space.add_bool(format!("w{k}_{i}"), 0.15 + 0.04 * ((i + k) % 17) as f64))
+                .collect();
+            Dnf::from_clauses(vars.windows(2).map(Clause::from_bools).collect::<Vec<_>>())
+        })
+        .collect();
+    let mut out =
+        vec![BatchRound { lineages: lineages.clone(), deltas: vec![None; n], max_work: Some(1) }];
+    for r in 1..rounds {
+        let mut deltas = vec![None; n];
+        for (k, lineage) in lineages.iter_mut().enumerate() {
+            match k % 4 {
+                2 => {
+                    let fresh = space.add_bool(format!("g{k}_{r}"), 0.2 + 0.03 * (k % 7) as f64);
+                    let old = lineage.clauses()[r % lineage.len()].vars().next().expect("chain");
+                    let grown =
+                        lineage.or(&Dnf::from_clauses(vec![Clause::from_bools(&[old, fresh])]));
+                    deltas[k] = LineageDelta::between(lineage, &grown);
+                    *lineage = grown;
+                }
+                3 => deltas[k] = LineageDelta::between(lineage, lineage),
+                _ => {}
+            }
+        }
+        let max_work = if r + 1 == rounds { None } else { Some(1) };
+        out.push(BatchRound { lineages: lineages.clone(), deltas, max_work });
+    }
+    WideStream { space, rounds: out }
+}
+
+/// The maintenance pre-pass absorbs deltas on several threads, each
+/// claiming blocks of items; batches at or below one block run inline.
+/// Either way every round must be bit-identical at 1, 2 and 3 shards (3
+/// gives the threads uneven shares): the same bounds, estimates and
+/// convergence per item, and pools that hold the same keys with the same
+/// width curves — including after evictions, since the pool holds fewer
+/// handles than there are items.
+#[test]
+fn parallel_prepass_is_bit_identical_at_one_two_and_three_shards() {
+    for n in [40, 240] {
+        let stream = wide_stream(n, 5);
+        let empty_deltas = stream.rounds[1].deltas.iter().flatten().filter(|d| d.is_empty());
+        assert!(empty_deltas.count() > 0, "the stream carries empty deltas");
+        let method = ConfidenceMethod::DTreeAbsolute(1e-9);
+        let mut pools: Vec<ResumablePool> = (0..3).map(|_| ResumablePool::new(n * 3 / 4)).collect();
+        for (round, r) in stream.rounds.iter().enumerate() {
+            let outs: Vec<ClusterBatchResult> = pools
+                .iter_mut()
+                .enumerate()
+                .map(|(s, pool)| {
+                    cluster(method.clone(), true, r.max_work, s + 1).maintain_batch(
+                        &r.lineages,
+                        &r.deltas,
+                        &stream.space,
+                        None,
+                        pool,
+                    )
+                })
+                .collect();
+            let at = format!("n={n} round {round}");
+            let (recompiled, refreshed, snapshots) = paths(&outs[0]);
+            if round > 0 {
+                assert!(
+                    refreshed > 0 && snapshots > 0,
+                    "{at}: paths {recompiled}/{refreshed}/{snapshots}"
+                );
+            }
+            assert!(pools[0].evictions() > 0 || round == 0, "{at}: the pool must evict");
+            for (s, out) in outs.iter().enumerate().skip(1) {
+                assert_eq!(paths(out), paths(&outs[0]), "{at} shards={}", s + 1);
+                for (i, (x, y)) in outs[0].results.iter().zip(&out.results).enumerate() {
+                    let at = format!("{at} shards={} item {i}", s + 1);
+                    assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{at}");
+                    assert_eq!(x.lower.to_bits(), y.lower.to_bits(), "{at}");
+                    assert_eq!(x.upper.to_bits(), y.upper.to_bits(), "{at}");
+                    assert_eq!(x.converged, y.converged, "{at}");
+                }
+                let keys: Vec<usize> = pools[s].keys().collect();
+                assert_eq!(keys, pools[0].keys().collect::<Vec<_>>(), "{at} shards={}", s + 1);
+                assert_eq!(pools[s].evictions(), pools[0].evictions(), "{at}");
+                for k in keys {
+                    let curve =
+                        |p: &ResumablePool| p.get(k).expect("pooled").width_curve().to_vec();
+                    assert_eq!(curve(&pools[s]), curve(&pools[0]), "{at} shards={} key {k}", s + 1);
+                }
+            }
+        }
+    }
+}
+
+/// The pre-pass is the one part of a maintenance round outside the
+/// scheduler's fault boundary, so it keeps one of its own: a panic while
+/// absorbing an item's delta — injected here at the `"cluster.absorb"`
+/// failpoint, keyed by item index — drops that item's pooled frontier and
+/// recompiles the item. Every item of every round still gets a sound,
+/// non-degraded interval; the same seed injects into the same items at
+/// every shard count, so the rounds stay bit-identical across shard counts;
+/// and an unbudgeted final round matches from-scratch compilation.
+#[test]
+fn absorb_panics_recompile_the_item_soundly() {
+    use dtree_approx::pdb::fault::{FaultPlan, FaultPolicy};
+    let stream = wide_stream(160, 4);
+    let method = ConfidenceMethod::DTreeAbsolute(1e-13);
+    let last = stream.rounds.last().expect("rounds");
+    let scratch =
+        engine(method.clone(), true, None).confidence_batch(&last.lineages, &stream.space, None);
+    let mut runs: Vec<Vec<ClusterBatchResult>> = Vec::new();
+    for shards in [1, 2, 3] {
+        let fault = FaultPlan::new(0xab5)
+            .on("cluster.absorb", FaultPolicy::PanicWithProbability { p: 0.2 })
+            .build();
+        let mut pool = ResumablePool::new(160);
+        let mut outs = Vec::new();
+        for (round, r) in stream.rounds.iter().enumerate() {
+            let got = cluster(method.clone(), true, r.max_work, shards)
+                .with_fault(&fault)
+                .maintain_batch(&r.lineages, &r.deltas, &stream.space, None, &mut pool);
+            assert_eq!(got.results.len(), r.lineages.len());
+            for (i, x) in got.results.iter().enumerate() {
+                let at = format!("shards={shards} round {round} item {i}");
+                assert!(x.degraded.is_none(), "{at}: {x:?}");
+                assert!(0.0 <= x.lower && x.lower <= x.estimate, "{at}: {x:?}");
+                assert!(x.estimate <= x.upper && x.upper <= 1.0, "{at}: {x:?}");
+            }
+            outs.push(got);
+        }
+        assert!(fault.injected() > 0, "shards={shards}: the schedule must fire");
+        let out = outs.last().expect("rounds ran");
+        assert!(out.all_converged(), "shards={shards}");
+        for (i, (m, s)) in out.results.iter().zip(&scratch.results).enumerate() {
+            assert!(
+                (m.estimate - s.estimate).abs() <= 1e-12,
+                "shards={shards} item {i}: maintained {} vs scratch {}",
+                m.estimate,
+                s.estimate
+            );
+        }
+        runs.push(outs);
+    }
+    for (s, run) in runs.iter().enumerate().skip(1) {
+        for (round, (a, b)) in runs[0].iter().zip(run).enumerate() {
+            for (i, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
+                let at = format!("shards={} round {round} item {i}", s + 1);
+                assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{at}");
+                assert_eq!(x.lower.to_bits(), y.lower.to_bits(), "{at}");
+                assert_eq!(x.upper.to_bits(), y.upper.to_bits(), "{at}");
+            }
+        }
+    }
+}
+
+/// The pre-pass reports what it did through write-only handles: one
+/// `cluster.prepass_seconds` sample per round, a `cluster.snapshots` count
+/// of the items served without scheduling, and a `cluster.deltas_absorbed`
+/// count of the non-empty deltas applied to pooled frontiers.
+#[test]
+fn prepass_metrics_count_snapshots_and_absorbed_deltas() {
+    let stream = wide_stream(120, 3);
+    let o = dtree_approx::obs::Obs::enabled();
+    let mut pool = ResumablePool::new(120);
+    let (mut snapshots, mut absorbed) = (0, 0);
+    for r in &stream.rounds {
+        let pooled: Vec<bool> = (0..r.lineages.len()).map(|i| pool.contains(i)).collect();
+        let out = cluster(ConfidenceMethod::DTreeAbsolute(1e-9), true, r.max_work, 2)
+            .with_obs(&o)
+            .maintain_batch(&r.lineages, &r.deltas, &stream.space, None, &mut pool);
+        snapshots += paths(&out).2 as u64;
+        absorbed += r
+            .deltas
+            .iter()
+            .zip(&pooled)
+            .filter(|(d, &p)| p && d.as_ref().is_some_and(|d| !d.is_empty()))
+            .count() as u64;
+    }
+    assert!(snapshots > 0 && absorbed > 0);
+    assert_eq!(o.counter("cluster.snapshots").get(), snapshots);
+    assert_eq!(o.counter("cluster.deltas_absorbed").get(), absorbed);
+    let rounds = stream.rounds.len() as u64;
+    assert_eq!(o.histogram("cluster.prepass_seconds").snapshot().count, rounds);
+}
