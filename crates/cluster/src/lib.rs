@@ -259,7 +259,7 @@ enum Absorbed {
     Snapshot(ConfidenceResult),
     /// To schedule with this width-regression score, resuming the handle
     /// (`None`: compile from scratch).
-    Work(f64, Option<ResumableConfidence>),
+    Work(f64, Option<Box<ResumableConfidence>>),
 }
 
 /// A sharded, deadline-aware confidence service above
@@ -539,7 +539,7 @@ impl ClusterEngine {
                 Absorbed::Work(score, handle) => {
                     scores[i] = score;
                     settled.push(None);
-                    handles.push(handle);
+                    handles.push(handle.map(|h| *h));
                     work.push(i);
                 }
             }
@@ -658,7 +658,7 @@ impl ClusterEngine {
             // Order dirtied items by how much the delta widened their
             // interval — the regression this round must claw back.
             let score = (h.remaining_width() - width_before).max(0.0);
-            Some(Absorbed::Work(score, slot.take()))
+            Some(Absorbed::Work(score, slot.take().map(Box::new)))
         }));
         match run {
             Ok(Some(a)) => a,
