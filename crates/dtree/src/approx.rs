@@ -29,18 +29,10 @@ use events::{product_factorization_by, Atom, Dnf, DnfView, LineageArena};
 use crate::bounds::{dnf_bounds_view, Bounds, BoundsFold, Op};
 use crate::cache::{Memo, SubformulaCache};
 use crate::compile::CompileOptions;
+use crate::exact::LeafVars;
 use crate::order::choose_variable;
 use crate::resume::ResumableCompilation;
 use crate::stats::CompileStats;
-
-/// Leaf DNFs with at most this many distinct variables are evaluated exactly
-/// (their complete sub-d-tree is folded on the fly) instead of being bounded
-/// with the bucket heuristic and decomposed one step at a time. Small exact
-/// leaves produce point bounds, which both tightens the global interval and
-/// preserves the ε "slack" of Theorem 5.12 for the genuinely large leaves.
-/// Shared with [`crate::resume`], whose refinement driver folds the same
-/// class of leaves the same way so resumed slices converge like the DFS.
-pub(crate) const EXACT_LEAF_VARS: usize = 12;
 
 /// The approximation guarantee requested from the algorithm
 /// (Definition 5.7).
@@ -386,19 +378,13 @@ impl Dfs<'_> {
     /// batch when a shared cache is attached. The memo key is the view's
     /// incremental fingerprint — an O(clauses) combine of interned per-clause
     /// fingerprints, not a re-walk of every atom.
-    fn memo_exact(&mut self, view: &DnfView) -> f64 {
+    fn memo_exact(&mut self, view: &DnfView, vars: &LeafVars) -> f64 {
         let key = view.hash(self.arena);
         if let Some(p) = self.memo.get_exact(key) {
             self.stats.exact_cache_hits += 1;
             return p;
         }
-        let r = crate::exact::exact_probability_view(
-            self.arena,
-            view,
-            self.space,
-            &self.opts.compile,
-            None,
-        );
+        let r = vars.fold(self.arena, view, self.space, &self.opts.compile);
         self.stats.exact_evaluations += 1;
         self.stats.or_nodes += r.stats.or_nodes;
         self.stats.and_nodes += r.stats.and_nodes;
@@ -492,7 +478,7 @@ impl Dfs<'_> {
             return (Bounds::point(view.clause_probability(self.arena, self.space, 0)), true);
         }
         let key = view.hash(self.arena);
-        if !view.num_vars_exceeds(self.arena, EXACT_LEAF_VARS) {
+        if LeafVars::of(self.arena, view).is_some() {
             let p = self.memo.get_exact(key).expect("pending leaves were bounded on frame entry");
             (Bounds::point(p), true)
         } else {
@@ -514,8 +500,8 @@ impl Dfs<'_> {
                     Bounds::point(1.0)
                 } else if view.len() == 1 {
                     Bounds::point(view.clause_probability(self.arena, self.space, 0))
-                } else if !view.num_vars_exceeds(self.arena, EXACT_LEAF_VARS) {
-                    Bounds::point(self.memo_exact(view))
+                } else if let Some(vars) = LeafVars::of(self.arena, view) {
+                    Bounds::point(self.memo_exact(view, &vars))
                 } else {
                     self.memo_bounds(view)
                 }
@@ -616,9 +602,9 @@ impl Dfs<'_> {
         // the ε slack for the large leaves and skips the bucket-bound
         // heuristic (a sort plus first-fit over the atoms) on sub-DNFs that
         // are cheaper to just solve.
-        if !view.num_vars_exceeds(self.arena, EXACT_LEAF_VARS) {
+        if let Some(vars) = LeafVars::of(self.arena, &view) {
             self.stats.exact_leaves += 1;
-            let point = Bounds::point(self.memo_exact(&view));
+            let point = Bounds::point(self.memo_exact(&view, &vars));
             if let Some(cap) = &mut self.capture {
                 cap.push(CapturedNode::Leaf { view, bounds: point, exact: true });
             }

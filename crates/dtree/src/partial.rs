@@ -105,10 +105,6 @@ impl PartialDTree {
         &self.lineage
     }
 
-    pub(crate) fn lineage_mut(&mut self) -> &mut LineageArena {
-        &mut self.lineage
-    }
-
     /// Replaces an open leaf with an exact point leaf over the same view —
     /// the resume driver's counterpart of the depth-first compiler's
     /// small-leaf exact fold.

@@ -50,10 +50,11 @@ use std::time::{Duration, Instant};
 
 use events::{Atom, Clause, Dnf, LineageArena, ProbabilitySpace, VarId};
 
-use crate::approx::{ApproxOptions, ApproxResult, CapturedNode, ErrorBound, EXACT_LEAF_VARS};
+use crate::approx::{ApproxOptions, ApproxResult, CapturedNode, ErrorBound};
 use crate::bounds::Bounds;
 use crate::cache::{Memo, SubformulaCache};
 use crate::compile::CompileOptions;
+use crate::exact::LeafVars;
 use crate::partial::{PNode, PartialDTree, PartialNodeId};
 use crate::stats::CompileStats;
 
@@ -528,7 +529,7 @@ impl ResumableCompilation {
             PNode::Inner { .. } => return, // stale bookkeeping; nothing to do
         };
 
-        if !view.num_vars_exceeds(self.tree.lineage(), EXACT_LEAF_VARS) {
+        if let Some(vars) = LeafVars::of(self.tree.lineage(), &view) {
             // Small leaf: fold its complete sub-d-tree, memoized exactly like
             // the depth-first compiler's `memo_exact`.
             let key = view.hash(self.tree.lineage());
@@ -536,13 +537,7 @@ impl ResumableCompilation {
                 self.tree.stats_mut().exact_cache_hits += 1;
                 p
             } else {
-                let r = crate::exact::exact_probability_view(
-                    self.tree.lineage_mut(),
-                    &view,
-                    space,
-                    &self.compile,
-                    None,
-                );
+                let r = vars.fold(self.tree.lineage(), &view, space, &self.compile);
                 let required = view.required_watermark(self.tree.lineage());
                 let stats = self.tree.stats_mut();
                 stats.exact_evaluations += 1;

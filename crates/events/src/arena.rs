@@ -56,7 +56,11 @@
 //!   makes repeats free);
 //! * copy once: interning a formula ([`LineageArena::intern`]) and the
 //!   relational product factorization (whose factors are *projections* — new
-//!   clauses by construction — and are interned back into the arena).
+//!   clauses by construction — and are interned back into the arena);
+//! * copy out, intern nothing: the exact fold of a view with at most 12
+//!   variables (`dtree`'s dense kernel), which reads the view's clauses once
+//!   into its own fixed-width entries, so its cofactors, stripped clauses
+//!   and product factors never reach the arena.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -454,25 +458,6 @@ impl DnfView {
             i = j;
         }
         best.map(|(v, _)| v)
-    }
-
-    /// `true` when the view mentions more than `k` distinct variables —
-    /// equivalent to `self.num_vars(arena) > k` but with an early exit and a
-    /// flat sorted buffer capped at `k + 1` entries (the hot exact-leaf
-    /// threshold check of the approximation).
-    pub fn num_vars_exceeds(&self, arena: &LineageArena, k: usize) -> bool {
-        let mut seen: Vec<VarId> = Vec::with_capacity(k + 1);
-        for i in 0..self.len() {
-            for a in self.clause(arena, i) {
-                if let Err(pos) = seen.binary_search(&a.var) {
-                    if seen.len() == k {
-                        return true;
-                    }
-                    seen.insert(pos, a.var);
-                }
-            }
-        }
-        false
     }
 
     /// Probability of the clause at position `i`: product of atom marginals
